@@ -7,12 +7,8 @@
 //
 // Usage:
 //
-//	geleebench [-experiment all|fig1|table1|table2|fig2|fig3|fig4|ablation|liquidpub|store|runtime|monitor|persist|segments|fold|overload|integrity|openloop]
+//	geleebench [-experiment all|fig1|table1|table2|fig2|fig3|fig4|ablation|liquidpub|runtime|monitor|persist|segments|fold|overload|integrity]
 //	           [-runtime-shards N]
-//	           [-openloop-duration D] [-openloop-scale N] [-openloop-soak D]
-//	           [-openloop-fixed] [-openloop-hot-rate R] [-openloop-advance-rate R]
-//	           [-openloop-timeline-rate R] [-openloop-model-rate R]
-//	           [-openloop-cockpit-rate R] [-openloop-tuning=false]
 //
 // The runtime experiment drives disjoint-instance token moves from a
 // growing number of goroutines and compares indexed vs scan-based
@@ -22,31 +18,22 @@
 // queries and summary-mode Advance vs their snapshot-backed baselines
 // over a 2048-instance × 128-event population — and records the
 // trajectory in BENCH_monitor.json. The fold experiment grows an
-// execution log tenfold and compares per-compaction cost with the
-// fold-by-reference archives against the legacy full-history rewrite,
-// verifying reads stay byte-identical; trajectory in BENCH_fold.json.
+// execution log tenfold and checks that per-compaction cost with the
+// fold-by-reference archives stays flat, verifying reads stay
+// byte-identical; trajectory in BENCH_fold.json.
 // The overload experiment saturates admission control (shed cost and
 // recovery), trips the read-only fallback with an injected journal
 // fault (probe-driven recovery time), and wedges a REST action
 // endpoint to measure circuit-breaker isolation: opens, fast-fail
 // latency and the flat Advance latency of unaffected instances;
 // results in BENCH_overload.json. The integrity experiment measures
-// the durable-put cost of CRC-32C record framing against the legacy
-// unframed format and the background scrubber's verification
-// throughput, proving a flipped bit is detected; results in
-// BENCH_integrity.json. The openloop experiment is the latency
-// harness: arrivals are scheduled on a Poisson (or -openloop-fixed)
-// clock decoupled from completions so queueing delay is measured
-// rather than hidden (no coordinated omission), with log-linear
-// histograms (p50/p99/p999/max) per operation class — advance,
-// cockpit read, filtered cockpit read (?resource= pushed down to the
-// secondary index), timeline page, model get — over a population
-// seeded to -openloop-scale (default 1M, with memory-per-instance and
-// index growth at each power-of-ten checkpoint), a cockpit A/B pitting
-// the population index against the deprecated pre-index full scan, a
-// read-cache on/off A/B on a hot wide model, an admission-watermark
-// tuning sweep that grounds geleed's -max-queue-depth default, and an
-// optional -openloop-soak mixed run; results in BENCH_openloop.json.
+// the background scrubber's verification throughput, proving a flipped
+// bit is detected; results in BENCH_integrity.json.
+//
+// End-to-end latency over HTTP is measured by the repository benchmark
+// in perfbench/, not here. BENCH_openloop.json and the per-append-fsync
+// and unframed-journal figures in the committed BENCH_*.json files are
+// history: the experiments and baselines that produced them are gone.
 package main
 
 import (
@@ -97,15 +84,13 @@ func main() {
 		{"fig4", "Fig. 4 — execution widget", runFig4},
 		{"ablation", "E7 — light coupling vs prescriptive engine", runAblation},
 		{"liquidpub", "E8 — LiquidPub monitoring at scale", runLiquidPub},
-		{"store", "E9 — group-commit journal vs per-append fsync", runStoreEngine},
 		{"runtime", "E10 — runtime sharding: disjoint-advance scaling, indexed queries", runRuntimeSharding},
 		{"monitor", "E11 — copy-free read path: summary-backed cockpit vs snapshot baseline", runMonitorReadPath},
 		{"persist", "E12 — durable runtime: write-through overhead + replay throughput", runPersist},
 		{"segments", "E13 — segmented journal: bounded restart replay via snapshot folding", runSegments},
-		{"fold", "E14 — fold-by-reference archives: flat fold cost vs full-history rewrite", runFold},
+		{"fold", "E14 — fold-by-reference archives: flat fold cost as history grows", runFold},
 		{"overload", "E15 — overload & failure engineering: shedding, read-only fallback, breaker isolation", runOverload},
-		{"integrity", "E16 — journal integrity: CRC framing overhead + scrub throughput", runIntegrity},
-		{"openloop", "E17 — open-loop latency: arrival-rate histograms, 1M-instance scaler, read-cache A/B", runOpenLoopExperiment},
+		{"integrity", "E16 — journal integrity: scrub throughput + flipped-bit detection", runIntegrity},
 	}
 	ran := 0
 	for _, e := range experiments {
@@ -434,80 +419,6 @@ func runLiquidPub() error {
 	fmt.Printf("paper: 35 deliverables, status at a glance, particular attention to delays\n")
 	fmt.Printf("measured: total=%d active=%d completed=%d late=%d by-phase=%v (query %v)\n",
 		sum.Total, sum.Active, sum.Completed, len(late), sum.ByPhase, elapsed.Round(time.Microsecond))
-	return nil
-}
-
-// runStoreEngine measures the data-tier refactor: the same concurrent
-// durable-write workload against the per-append-fsync baseline and the
-// group-commit engine, reporting wall clock and engine counters.
-func runStoreEngine() error {
-	const writers, perWriter = 8, 50
-	type result struct {
-		elapsed time.Duration
-		stats   store.Stats
-	}
-	run := func(opts store.Options) (result, error) {
-		dir, err := os.MkdirTemp("", "gelee-bench-store-*")
-		if err != nil {
-			return result{}, err
-		}
-		defer os.RemoveAll(dir)
-		st, err := store.Open(dir, opts)
-		if err != nil {
-			return result{}, err
-		}
-		repo := store.MustRepo[map[string]string](st, "bench")
-		if err := st.Load(); err != nil {
-			return result{}, err
-		}
-		val := map[string]string{"phase": "elaboration", "actor": "owner"}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perWriter; i++ {
-					if err := repo.Put(fmt.Sprintf("w%d-k%d", w, i), val); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			st.Close()
-			return result{}, err
-		}
-		elapsed := time.Since(start)
-		stats := st.Stats()
-		if err := st.Close(); err != nil {
-			return result{}, err
-		}
-		return result{elapsed: elapsed, stats: stats}, nil
-	}
-
-	baseline, err := run(store.Options{SyncEveryAppend: true})
-	if err != nil {
-		return err
-	}
-	grouped, err := run(store.Options{Sync: true})
-	if err != nil {
-		return err
-	}
-	n := writers * perWriter
-	fmt.Printf("workload: %d goroutines x %d durable puts = %d entries\n", writers, perWriter, n)
-	fmt.Printf("  per-append fsync: %v (%d fsyncs, %d batches)\n",
-		baseline.elapsed.Round(time.Microsecond), baseline.stats.Engine.Syncs, baseline.stats.Engine.Batches)
-	fmt.Printf("  group commit:     %v (%d fsyncs, %d batches, max batch %d)\n",
-		grouped.elapsed.Round(time.Microsecond), grouped.stats.Engine.Syncs, grouped.stats.Engine.Batches,
-		grouped.stats.Engine.MaxBatch)
-	if grouped.elapsed > 0 {
-		fmt.Printf("  speedup: %.1fx\n", float64(baseline.elapsed)/float64(grouped.elapsed))
-	}
 	return nil
 }
 
@@ -1185,16 +1096,13 @@ func runSegments() error {
 }
 
 // runFold measures what fold-by-reference archives buy: the cost of a
-// compaction as log history grows tenfold. The same workload — rounds
-// of execution-log appends, each followed by Compact — runs against
-// two stores; one keeps a small live window and spills older history
-// into archives carried by reference, the other (LogLiveWindow < 0)
-// rewrites the full log into every snapshot, the pre-archive behavior.
-// With archives each fold writes O(live window + one round of spill),
-// flat as history grows; the legacy rewrite grows linearly. Reads must
-// not notice: the full log and a cursor page-walk are verified
-// byte-identical before close and after reopen. Results go to stdout
-// and BENCH_fold.json.
+// compaction as log history grows tenfold. Rounds of execution-log
+// appends, each followed by Compact, run against a store that keeps a
+// small live window and spills older history into archives carried by
+// reference, so each fold writes O(live window + one round of spill),
+// flat as history grows. Reads must not notice: the full log and a
+// cursor page-walk are verified byte-identical before close and after
+// reopen. Results go to stdout and BENCH_fold.json.
 func runFold() error {
 	const (
 		rounds     = 10
@@ -1244,14 +1152,14 @@ func runFold() error {
 		return json.Marshal(all)
 	}
 
-	run := func(window int) (series, error) {
+	run := func() (series, error) {
 		var ser series
 		dir, err := os.MkdirTemp("", "gelee-bench-fold-*")
 		if err != nil {
 			return ser, err
 		}
 		defer os.RemoveAll(dir)
-		opts := store.Options{LogLiveWindow: window}
+		opts := store.Options{LogLiveWindow: liveWindow}
 		st, err := store.Open(dir, opts)
 		if err != nil {
 			return ser, err
@@ -1341,30 +1249,21 @@ func runFold() error {
 		return ser, nil
 	}
 
-	archived, err := run(liveWindow)
-	if err != nil {
-		return err
-	}
-	legacy, err := run(-1)
+	archived, err := run()
 	if err != nil {
 		return err
 	}
 
 	// Cost growth over a 10x history: last fold vs first fold. The
-	// archived series must stay flat (≤1.5x is the acceptance bar);
-	// the legacy rewrite grows with total history.
-	growth := func(s series) (bytesX, timeX float64) {
-		first, last := s.Points[0], s.Points[len(s.Points)-1]
-		if first.FoldBytes > 0 {
-			bytesX = float64(last.FoldBytes) / float64(first.FoldBytes)
-		}
-		if first.FoldNs > 0 {
-			timeX = float64(last.FoldNs) / float64(first.FoldNs)
-		}
-		return
+	// series must stay flat (≤1.5x is the acceptance bar).
+	first, last := archived.Points[0], archived.Points[len(archived.Points)-1]
+	var archBytesX, archTimeX float64
+	if first.FoldBytes > 0 {
+		archBytesX = float64(last.FoldBytes) / float64(first.FoldBytes)
 	}
-	archBytesX, archTimeX := growth(archived)
-	legBytesX, legTimeX := growth(legacy)
+	if first.FoldNs > 0 {
+		archTimeX = float64(last.FoldNs) / float64(first.FoldNs)
+	}
 
 	report := struct {
 		Experiment     string  `json:"experiment"`
@@ -1372,22 +1271,16 @@ func runFold() error {
 		PerRound       int     `json:"entries_per_round"`
 		LiveWindow     int     `json:"live_window"`
 		Archived       series  `json:"archived"`
-		Legacy         series  `json:"legacy"`
 		ArchivedBytesX float64 `json:"archived_fold_bytes_growth"`
 		ArchivedTimeX  float64 `json:"archived_fold_time_growth"`
-		LegacyBytesX   float64 `json:"legacy_fold_bytes_growth"`
-		LegacyTimeX    float64 `json:"legacy_fold_time_growth"`
 	}{
 		Experiment:     "fold",
 		Rounds:         rounds,
 		PerRound:       perRound,
 		LiveWindow:     liveWindow,
 		Archived:       archived,
-		Legacy:         legacy,
 		ArchivedBytesX: archBytesX,
 		ArchivedTimeX:  archTimeX,
-		LegacyBytesX:   legBytesX,
-		LegacyTimeX:    legTimeX,
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -1399,20 +1292,15 @@ func runFold() error {
 
 	fmt.Printf("paper: the execution log is the permanent audit trail — compaction must not slow down as it grows\n")
 	fmt.Printf("measured (%d rounds x %d log appends, live window %d):\n", rounds, perRound, liveWindow)
-	fmt.Printf("  %-6s %8s | archived %9s %9s %5s | legacy %9s %9s\n",
-		"round", "entries", "fold KB", "ms", "archs", "fold KB", "ms")
-	for i := range archived.Points {
-		a, l := archived.Points[i], legacy.Points[i]
-		fmt.Printf("  %-6d %8d | %17.1f %9.2f %5d | %15.1f %9.2f\n",
-			a.Round, a.TotalEntries,
-			float64(a.FoldBytes)/1024, float64(a.FoldNs)/1e6, a.Archives,
-			float64(l.FoldBytes)/1024, float64(l.FoldNs)/1e6)
+	fmt.Printf("  %-6s %8s %9s %9s %5s\n", "round", "entries", "fold KB", "ms", "archs")
+	for _, a := range archived.Points {
+		fmt.Printf("  %-6d %8d %9.1f %9.2f %5d\n",
+			a.Round, a.TotalEntries, float64(a.FoldBytes)/1024, float64(a.FoldNs)/1e6, a.Archives)
 	}
-	fmt.Printf("  fold bytes growth over 10x history: archived %.2fx vs legacy %.2fx (bar: <=1.5x)\n", archBytesX, legBytesX)
-	fmt.Printf("  fold time  growth over 10x history: archived %.2fx vs legacy %.2fx\n", archTimeX, legTimeX)
-	fmt.Printf("  reopen replay: archived %d entries + %d refs vs legacy %d entries; reads byte-identical: %t/%t\n",
-		archived.ReplayedOpen, archived.ArchiveRefs, legacy.ReplayedOpen,
-		archived.ReadsEqual, legacy.ReadsEqual)
+	fmt.Printf("  fold bytes growth over 10x history: %.2fx (bar: <=1.5x)\n", archBytesX)
+	fmt.Printf("  fold time  growth over 10x history: %.2fx\n", archTimeX)
+	fmt.Printf("  reopen replay: %d entries + %d refs; reads byte-identical: %t\n",
+		archived.ReplayedOpen, archived.ArchiveRefs, archived.ReadsEqual)
 	fmt.Printf("  wrote BENCH_fold.json\n")
 	return nil
 }
@@ -1905,85 +1793,15 @@ func runOverload() error {
 }
 
 // runIntegrity measures what the end-to-end journal integrity layer
-// costs and delivers: durable-put throughput with CRC-32C record
-// framing vs the legacy unframed format (the target is <10% overhead —
-// the fsync dominates), and background-scrub throughput over a
-// multi-segment dataset, with a flipped bit to prove the scrub actually
-// detects rot. Results go to stdout and BENCH_integrity.json.
+// delivers: background-scrub throughput over a multi-segment dataset,
+// with a flipped bit to prove the scrub actually detects rot. Results
+// go to stdout and BENCH_integrity.json.
 func runIntegrity() error {
-	const (
-		writers    = 4
-		putsPer    = 1500
-		docBytes   = 256
-		segmentMax = 256 << 10
-	)
-	type benchDoc struct {
-		Title string `json:"title"`
-		Rev   int    `json:"rev"`
-	}
-	payload := make([]byte, docBytes)
+	const segmentMax = 256 << 10
+	payload := make([]byte, 128)
 	for i := range payload {
 		payload[i] = 'a' + byte(i%26)
 	}
-
-	// Durable-put throughput, framed vs unframed: same workload, same
-	// group-commit engine, only the envelope differs.
-	durablePuts := func(disableFraming bool) (int64, error) {
-		dir, err := os.MkdirTemp("", "gelee-bench-integrity-*")
-		if err != nil {
-			return 0, err
-		}
-		defer os.RemoveAll(dir)
-		s, err := store.Open(dir, store.Options{
-			Sync:      true,
-			Integrity: store.IntegrityOptions{DisableFraming: disableFraming},
-		})
-		if err != nil {
-			return 0, err
-		}
-		repo := store.MustRepo[benchDoc](s, "docs")
-		if err := s.Load(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make(chan error, writers)
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < putsPer; i++ {
-					if err := repo.Put(fmt.Sprintf("w%d-k%d", w, i),
-						benchDoc{Title: string(payload), Rev: i}); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return 0, err
-		}
-		elapsed := time.Since(start).Nanoseconds()
-		if err := s.Close(); err != nil {
-			return 0, err
-		}
-		return elapsed, nil
-	}
-	framedNs, err := durablePuts(false)
-	if err != nil {
-		return err
-	}
-	unframedNs, err := durablePuts(true)
-	if err != nil {
-		return err
-	}
-	totalPuts := writers * putsPer
-	framedRate := float64(totalPuts) / (float64(framedNs) / 1e9)
-	unframedRate := float64(totalPuts) / (float64(unframedNs) / 1e9)
-	overheadPct := (float64(framedNs) - float64(unframedNs)) / float64(unframedNs) * 100
 
 	// Scrub throughput over a multi-segment dataset: the instance
 	// journal accumulates sealed segments (no snapshot source wired, so
@@ -2000,7 +1818,7 @@ func runIntegrity() error {
 	if err := coll.Replay(func(string, []byte) error { return nil }); err != nil {
 		return err
 	}
-	rec := fmt.Sprintf(`{"op":"advance","pad":%q}`, payload[:128])
+	rec := fmt.Sprintf(`{"op":"advance","pad":%q}`, payload)
 	for i := 0; i < 20000; i++ {
 		if err := coll.Append(fmt.Sprintf("li-%d", i%64), []byte(rec)); err != nil {
 			return err
@@ -2053,37 +1871,23 @@ func runIntegrity() error {
 	}
 
 	report := struct {
-		Experiment      string  `json:"experiment"`
-		GOMAXPROCS      int     `json:"gomaxprocs"`
-		Puts            int     `json:"durable_puts"`
-		Writers         int     `json:"writers"`
-		FramedNs        int64   `json:"framed_ns"`
-		UnframedNs      int64   `json:"unframed_ns"`
-		FramedPutsSec   float64 `json:"framed_puts_per_sec"`
-		UnframedPutsSec float64 `json:"unframed_puts_per_sec"`
-		OverheadPct     float64 `json:"framing_overhead_pct"`
-		ScrubSegments   int     `json:"scrub_segments"`
-		ScrubFiles      int     `json:"scrub_files"`
-		ScrubBytes      int64   `json:"scrub_bytes"`
-		ScrubNs         int64   `json:"scrub_ns"`
-		ScrubMBPerSec   float64 `json:"scrub_mb_per_sec"`
-		RotDetected     int     `json:"flipped_bit_detections"`
+		Experiment    string  `json:"experiment"`
+		GOMAXPROCS    int     `json:"gomaxprocs"`
+		ScrubSegments int     `json:"scrub_segments"`
+		ScrubFiles    int     `json:"scrub_files"`
+		ScrubBytes    int64   `json:"scrub_bytes"`
+		ScrubNs       int64   `json:"scrub_ns"`
+		ScrubMBPerSec float64 `json:"scrub_mb_per_sec"`
+		RotDetected   int     `json:"flipped_bit_detections"`
 	}{
-		Experiment:      "integrity",
-		GOMAXPROCS:      gomaxprocs(),
-		Puts:            totalPuts,
-		Writers:         writers,
-		FramedNs:        framedNs,
-		UnframedNs:      unframedNs,
-		FramedPutsSec:   framedRate,
-		UnframedPutsSec: unframedRate,
-		OverheadPct:     overheadPct,
-		ScrubSegments:   segments,
-		ScrubFiles:      scrubFiles,
-		ScrubBytes:      scrubBytes,
-		ScrubNs:         scrubNs,
-		ScrubMBPerSec:   scrubMBps,
-		RotDetected:     detected,
+		Experiment:    "integrity",
+		GOMAXPROCS:    gomaxprocs(),
+		ScrubSegments: segments,
+		ScrubFiles:    scrubFiles,
+		ScrubBytes:    scrubBytes,
+		ScrubNs:       scrubNs,
+		ScrubMBPerSec: scrubMBps,
+		RotDetected:   detected,
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -2094,9 +1898,7 @@ func runIntegrity() error {
 	}
 
 	fmt.Printf("paper: a hosted service's journal is the system of record — it must detect its own decay\n")
-	fmt.Printf("measured (%d durable puts x %d writers, fsync per batch):\n", totalPuts, writers)
-	fmt.Printf("  framed (CRC-32C envelopes): %.0f puts/s; unframed legacy: %.0f puts/s; overhead %.1f%% (target <10%%)\n",
-		framedRate, unframedRate, overheadPct)
+	fmt.Printf("measured:\n")
 	fmt.Printf("  scrub: %d files / %.1f MB over %d sealed segments in %v (%.0f MB/s)\n",
 		scrubFiles, float64(scrubBytes)/1e6, segments, time.Duration(scrubNs).Round(time.Millisecond), scrubMBps)
 	fmt.Printf("  flipped bit in a sealed segment: detected %d time(s) by the next scrub pass\n", detected)

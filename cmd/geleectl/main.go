@@ -132,8 +132,7 @@ func (c *client) run(cmd string, args []string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: model URI")
 		}
-		// Path-escaped model addressing (the /models/one query-param
-		// lookup is deprecated).
+		// Models are addressed by their path-escaped URI.
 		return c.getRaw("/api/v1/models/" + url.PathEscape(args[0]) + "?format=xml")
 	case "define":
 		if len(args) != 1 {

@@ -90,9 +90,9 @@ type (
 	Grant = access.Grant
 	// StatusUpdate is an action callback message.
 	StatusUpdate = actionlib.StatusUpdate
-	// IntegrityOptions tune journal corruption detection: checksummed
-	// record framing, quarantine-and-serve opens, and the background
-	// scrubber (see store.IntegrityOptions).
+	// IntegrityOptions tune journal corruption detection:
+	// quarantine-and-serve opens and the background scrubber (see
+	// store.IntegrityOptions).
 	IntegrityOptions = store.IntegrityOptions
 	// CorruptFile describes one corruption detection, delivered to
 	// IntegrityOptions.OnCorrupt.
@@ -123,9 +123,6 @@ type Options struct {
 	// SyncJournal makes the journal engine fsync every group-commit
 	// batch: durable writes at a fraction of the per-append cost.
 	SyncJournal bool
-	// SyncEveryAppend fsyncs each journal append individually — the
-	// legacy durability mode, kept as a benchmark baseline.
-	SyncEveryAppend bool
 	// StoreShards overrides the repository lock-stripe count
 	// (0 = store.DefaultShards).
 	StoreShards int
@@ -152,8 +149,7 @@ type Options struct {
 	// folds into immutable CRC-summed archive files carried forward by
 	// reference, keeping fold cost and snapshot size flat as history
 	// grows. Cold history still serves reads, streamed from disk.
-	// 0 = store.DefaultLogLiveWindow; negative = archive nothing (every
-	// fold rewrites the full log — the legacy behavior).
+	// 0 = store.DefaultLogLiveWindow; negative is rejected by New.
 	LogLiveWindow int
 	// ReadCacheEntries bounds the per-shard LRU read cache in front of
 	// the model and template repositories: decoded values prepared for
@@ -214,8 +210,8 @@ type Options struct {
 	// and alerting stay off until configured.
 	Resilience ResilienceOptions
 	// Integrity tunes end-to-end journal integrity on both journals
-	// (the definitions store and the instance collection): checksummed
-	// record framing is on by default; Quarantine makes a corrupt open
+	// (the definitions store and the instance collection): records are
+	// always checksummed; Quarantine makes a corrupt open
 	// serve the surviving history read-only instead of failing;
 	// ScrubInterval starts the background re-verification of sealed
 	// segments, snapshots and archives. A quarantined file latches the
@@ -372,6 +368,9 @@ func (s *System) CompositeRollup(compositeID string) (composite.Rollup, error) {
 
 // New builds and loads a System.
 func New(opts Options) (*System, error) {
+	if opts.LogLiveWindow < 0 {
+		return nil, fmt.Errorf("gelee: LogLiveWindow %d is negative", opts.LogLiveWindow)
+	}
 	clock := opts.Clock
 	if clock == nil {
 		clock = vclock.System
@@ -416,7 +415,6 @@ func New(opts Options) (*System, error) {
 
 	storeOpts := store.Options{
 		Sync:             opts.SyncJournal,
-		SyncEveryAppend:  opts.SyncEveryAppend,
 		Shards:           opts.StoreShards,
 		FlushInterval:    opts.JournalFlushInterval,
 		FlushBatch:       opts.JournalFlushBatch,
@@ -498,7 +496,7 @@ func New(opts Options) (*System, error) {
 		if engine == "journal" {
 			coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
 				store.InstancesOptions{
-					Sync:            opts.SyncJournal || opts.SyncEveryAppend,
+					Sync:            opts.SyncJournal,
 					SegmentMaxBytes: opts.SegmentMaxBytes,
 					SnapshotEvery:   opts.SnapshotEvery,
 					Integrity:       integ,
@@ -892,9 +890,10 @@ func (s *System) HealthReport() resilience.Report {
 		rep.BreakerRejected = s.breakers.Rejected()
 	}
 	// Journal integrity, summed across the definitions store and the
-	// instance collection, for deployments with durable journals.
+	// instance collection, for deployments with durable journals (the
+	// instance journal exists only beside the journal engine).
 	st := s.StoreStats()
-	if st.Engine.Integrity.Framing || st.Instances != nil && st.Instances.Integrity.Framing {
+	if st.Engine.Engine == "journal" {
 		ir := &resilience.IntegrityReport{
 			Framing:         true,
 			ReadOnlyLatched: rep.Health.Latched,
@@ -1344,19 +1343,18 @@ func (s *System) Instances() []runtime.Snapshot { return s.Runtime.Instances() }
 func (s *System) InstanceCount() int { return s.Runtime.Count() }
 
 // Summaries lists every instance without copying event histories — the
-// cheap path behind GET /api/v1/instances and the cockpit.
+// cheap whole-population listing.
 func (s *System) Summaries() []runtime.Summary { return s.Runtime.Summaries() }
 
 // SummariesPage returns one cursor window of the population summary
-// view (creation seq > after, at most limit) — the paged mode of
-// GET /api/v1/instances — served from the runtime's incrementally
-// maintained population index in O(log N + page).
+// view (creation seq > after, at most limit), served from the runtime's
+// incrementally maintained population index in O(log N + page).
 func (s *System) SummariesPage(after int64, limit int) runtime.SummaryPage {
 	return s.Runtime.SummariesPage(after, limit)
 }
 
 // QuerySummaries returns one cursor window of the summaries matching
-// the filter — the filtered mode of GET /api/v1/instances. Resource
+// the filter — the page behind GET /api/v1/instances. Resource
 // and model predicates are served from the runtime's secondary URI
 // indexes, state/lateness from the maintained summary counters; see
 // runtime.Runtime.QuerySummaries for the Total semantics of filtered
@@ -1370,14 +1368,6 @@ func (s *System) QuerySummaries(f runtime.Filter, after int64, limit int) runtim
 // seam the cockpit rebuild runs on.
 func (s *System) ForEachSummary(f runtime.Filter, after int64, fn func(runtime.Summary) bool) {
 	s.Runtime.ForEachSummary(f, after, fn)
-}
-
-// SummariesPageScan is the pre-index O(N log N) full-scan page.
-//
-// Deprecated: it exists only as the A/B baseline for the openloop
-// benchmark and goes away next release; use SummariesPage.
-func (s *System) SummariesPageScan(after int64, limit int) runtime.SummaryPage {
-	return s.Runtime.SummariesPageScan(after, limit)
 }
 
 // RecoveryStats reports what the startup instance-journal replay

@@ -384,3 +384,11 @@ func TestWidgetsAndMonitorWiredIn(t *testing.T) {
 		t.Fatalf("summary = %+v", sum)
 	}
 }
+
+// TestNegativeLogLiveWindowRejected: the execution log always archives
+// past its live window, so a negative window is a configuration error.
+func TestNegativeLogLiveWindowRejected(t *testing.T) {
+	if _, err := New(Options{DataDir: t.TempDir(), LogLiveWindow: -1}); err == nil {
+		t.Fatal("New accepted a negative LogLiveWindow")
+	}
+}

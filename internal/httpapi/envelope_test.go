@@ -31,10 +31,10 @@ func rawGet(t *testing.T, base, path string) (int, http.Header, []byte) {
 
 // TestStructuredErrorsEveryRoute drives one failing request through
 // every fallible route and asserts the uniform error body: JSON with
-// a stable code, a message, and the deprecated "error" alias. Routes
-// with no failing input (ping, the bare list/browse/summary/health
-// reads) have nothing to assert; POST /soap answers with SOAP faults
-// by protocol, not JSON.
+// a stable code and a message, no other keys beyond the documented
+// optional ones, and no Deprecation header. Routes with no failing
+// input (ping, the bare list/browse/summary/health reads) have nothing
+// to assert; POST /soap answers with SOAP faults by protocol, not JSON.
 func TestStructuredErrorsEveryRoute(t *testing.T) {
 	e := newEnv(t, true) // auth on: missing X-Gelee-User is the uniform 401
 	cases := []struct {
@@ -45,6 +45,7 @@ func TestStructuredErrorsEveryRoute(t *testing.T) {
 		want   int // 0 = any 4xx/5xx
 	}{
 		{"define model unauthorized", "POST", "/api/v1/models", "<model/>", 401},
+		// The removed query-param route is now just a model named "one".
 		{"model by query missing", "GET", "/api/v1/models/one?uri=urn:ghost", "", 404},
 		{"model by path missing", "GET", "/api/v1/models/" + url.PathEscape("urn:ghost"), "", 404},
 		{"propagate unauthorized", "POST", "/api/v1/models/propagate", "{}", 401},
@@ -97,26 +98,33 @@ func TestStructuredErrorsEveryRoute(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 				t.Fatalf("error content type = %q, body %s", ct, data)
 			}
-			var apiErr struct {
-				Code    string `json:"code"`
-				Message string `json:"message"`
-				Error   string `json:"error"` // deprecated alias
+			if d := resp.Header.Get("Deprecation"); d != "" {
+				t.Fatalf("error response carries Deprecation: %q", d)
 			}
+			var apiErr map[string]any
 			if err := json.Unmarshal(data, &apiErr); err != nil {
 				t.Fatalf("error body is not JSON: %v (%s)", err, data)
 			}
-			if apiErr.Code == "" || apiErr.Message == "" {
+			code, _ := apiErr["code"].(string)
+			if msg, _ := apiErr["message"].(string); code == "" || msg == "" {
 				t.Fatalf("error body missing code/message: %s", data)
 			}
-			if apiErr.Error != apiErr.Message {
-				t.Fatalf("deprecated error alias %q != message %q", apiErr.Error, apiErr.Message)
+			if tc.want == 404 && code != "not_found" {
+				t.Fatalf("404 code = %q, want not_found", code)
+			}
+			for k := range apiErr {
+				switch k {
+				case "code", "message", "retry_after_ms", "mode":
+				default:
+					t.Fatalf("error body carries unexpected key %q: %s", k, data)
+				}
 			}
 		})
 	}
 }
 
 // TestModelByPathRoute: models are addressed by path-escaped URI; the
-// query-parameter route still answers but is marked deprecated.
+// old query-parameter form is just a lookup of a model named "one".
 func TestModelByPathRoute(t *testing.T) {
 	e := newEnv(t, false)
 	model := scenario.QualityPlan()
@@ -145,20 +153,16 @@ func TestModelByPathRoute(t *testing.T) {
 		t.Fatalf("XML by path = %d: %s", code, body)
 	}
 
-	// The legacy query route still works, flagged Deprecation: true.
-	code, hdr, _ = rawGet(t, e.srv.URL, "/api/v1/models/one?uri="+url.QueryEscape(model.URI))
-	if code != 200 {
-		t.Fatalf("GET models/one = %d", code)
-	}
-	if hdr.Get("Deprecation") != "true" {
-		t.Fatal("models/one must carry Deprecation: true")
+	// The removed query route answers the structured 404.
+	code, _, body = rawGet(t, e.srv.URL, "/api/v1/models/one?uri="+url.QueryEscape(model.URI))
+	if code != 404 || !bytes.Contains(body, []byte(`"code":"not_found"`)) {
+		t.Fatalf("GET models/one = %d: %s", code, body)
 	}
 }
 
-// TestInstancesEnvelopeAndFilters: any filter or paging parameter on
-// GET /instances switches to the uniform {items,total,next_after}
-// envelope (with the deprecated instances alias), and the filter
-// params are pushed down to the runtime indexes.
+// TestInstancesEnvelopeAndFilters: GET /instances answers the uniform
+// {items,total,next_after} envelope, and the filter params are pushed
+// down to the runtime indexes.
 func TestInstancesEnvelopeAndFilters(t *testing.T) {
 	e := newEnv(t, false)
 	model := scenario.QualityPlan()
@@ -182,11 +186,10 @@ func TestInstancesEnvelopeAndFilters(t *testing.T) {
 		Items     []instanceJSON `json:"items"`
 		Total     int            `json:"total"`
 		NextAfter int64          `json:"next_after"`
-		Instances []instanceJSON `json:"instances"` // deprecated alias
 	}
 
 	// Resource filter rides the by-resource index: match count as total.
-	code, hdr, body := rawGet(t, e.srv.URL, "/api/v1/instances?resource="+url.QueryEscape("http://wiki/D1.1"))
+	code, _, body := rawGet(t, e.srv.URL, "/api/v1/instances?resource="+url.QueryEscape("http://wiki/D1.1"))
 	if code != 200 {
 		t.Fatalf("filtered list = %d: %s", code, body)
 	}
@@ -196,12 +199,6 @@ func TestInstancesEnvelopeAndFilters(t *testing.T) {
 	}
 	if len(p.Items) != 4 || p.Total != 4 {
 		t.Fatalf("resource filter: %d items, total %d, want 4/4", len(p.Items), p.Total)
-	}
-	if len(p.Instances) != len(p.Items) {
-		t.Fatalf("instances alias = %d, items = %d", len(p.Instances), len(p.Items))
-	}
-	if hdr.Get("Deprecation") != "true" {
-		t.Fatal("alias-carrying envelope must announce Deprecation: true")
 	}
 
 	// Filters compose with paging: walk the gdoc matches two at a time.
@@ -274,16 +271,84 @@ func TestInstancesEnvelopeAndFilters(t *testing.T) {
 		t.Fatalf("late rows = %d, want 0", len(rows))
 	}
 
-	// The bare parameterless call keeps the legacy array for one release.
+	// The parameterless call answers the whole population enveloped.
 	code, _, body = rawGet(t, e.srv.URL, "/api/v1/instances")
 	if code != 200 {
 		t.Fatalf("bare list = %d", code)
 	}
-	var flat []instanceJSON
-	if err := json.Unmarshal(body, &flat); err != nil {
-		t.Fatalf("bare list is no longer an array: %v (%s)", err, body[:min(len(body), 80)])
+	p = page{}
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatal(err)
 	}
-	if len(flat) != 7 {
-		t.Fatalf("bare list = %d instances, want 7", len(flat))
+	if len(p.Items) != 7 || p.Total != 7 || p.NextAfter != 0 {
+		t.Fatalf("bare list: %d items, total %d, next %d, want 7/7/0", len(p.Items), p.Total, p.NextAfter)
+	}
+}
+
+// TestPagedRoutesFinalShape drives every cursor-paged route and checks
+// the final envelope: items and total present, none of the removed
+// alias keys, no Deprecation header — and the parameterless instance
+// list answers exactly what ?after=0 does.
+func TestPagedRoutesFinalShape(t *testing.T) {
+	e := newEnv(t, false)
+	model := scenario.QualityPlan()
+	if err := e.sys.DefineModel("", model); err != nil {
+		t.Fatal(err)
+	}
+	e.sys.Sims.Wiki.CreatePage("D1.1", "o", "x")
+	var id string
+	for i := 0; i < 3; i++ {
+		snap, err := e.sys.Instantiate(model.URI, gelee.Ref{URI: "http://wiki/D1.1", Type: "mediawiki"}, "owner", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = snap.ID
+	}
+	if _, err := e.sys.Advance(id, "elaboration", "owner", gelee.AdvanceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	routes := []string{
+		"/api/v1/instances",
+		"/api/v1/instances?after=0",
+		"/api/v1/instances?limit=2",
+		"/api/v1/instances?resource=" + url.QueryEscape("http://wiki/D1.1"),
+		"/api/v1/instances?state=active&limit=1",
+		"/api/v1/instances/" + id + "/timeline",
+		"/api/v1/instances/" + id + "/timeline?limit=1",
+		"/api/v1/monitor/instances/" + id + "/timeline",
+		"/api/v1/admin/log",
+		"/api/v1/admin/log?limit=1",
+	}
+	for _, path := range routes {
+		code, hdr, body := rawGet(t, e.srv.URL, path)
+		if code != 200 {
+			t.Fatalf("GET %s = %d: %s", path, code, body)
+		}
+		if d := hdr.Get("Deprecation"); d != "" {
+			t.Fatalf("GET %s carries Deprecation: %q", path, d)
+		}
+		var env map[string]json.RawMessage
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("GET %s is not an envelope: %v (%s)", path, err, body)
+		}
+		var items []json.RawMessage
+		if err := json.Unmarshal(env["items"], &items); err != nil || len(items) == 0 {
+			t.Fatalf("GET %s: items = %s (%v)", path, env["items"], err)
+		}
+		if _, ok := env["total"]; !ok {
+			t.Fatalf("GET %s has no total: %s", path, body)
+		}
+		for _, k := range []string{"instances", "entries", "next", "more", "error"} {
+			if _, ok := env[k]; ok {
+				t.Fatalf("GET %s carries removed key %q", path, k)
+			}
+		}
+	}
+
+	_, _, bare := rawGet(t, e.srv.URL, "/api/v1/instances")
+	_, _, first := rawGet(t, e.srv.URL, "/api/v1/instances?after=0")
+	if !bytes.Equal(bare, first) {
+		t.Fatalf("parameterless list differs from ?after=0:\n%s\n%s", bare, first)
 	}
 }

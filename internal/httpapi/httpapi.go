@@ -10,7 +10,6 @@
 //	GET  /api/v1/models                   list models
 //	GET  /api/v1/models/{uri...}          fetch by path-escaped model URI
 //	                                      (?format=xml → Table I)
-//	GET  /api/v1/models/one?uri=U         deprecated query-param fetch
 //	POST /api/v1/models/propagate?uri=U   push new version to instances
 //	GET  /api/v1/actions[?resource_type=] browse action library (Fig. 3)
 //	POST /api/v1/actions                  register action type (+impls)
@@ -18,11 +17,10 @@
 //	GET  /api/v1/instances                list (summary view, no histories);
 //	                                      ?after=SEQ&limit=N pages by creation
 //	                                      seq off the runtime's population
-//	                                      index; ?resource=U&model=U&state=S
-//	                                      &late=1 filters, pushed down to the
-//	                                      runtime's secondary indexes; any of
-//	                                      those params wraps the page in the
-//	                                      uniform envelope
+//	                                      index (no limit = the rest of the
+//	                                      population); ?resource=U&model=U
+//	                                      &state=S&late=1 filters, pushed down
+//	                                      to the runtime's secondary indexes
 //	GET  /api/v1/instances/{id}           snapshot (full history)
 //	GET  /api/v1/instances/{id}/timeline  paged history (?after=S&limit=N);
 //	                                      pages older than the in-memory ring
@@ -38,6 +36,7 @@
 //	POST /api/v1/callbacks/{inv}          action status callback (no auth)
 //	GET  /api/v1/admin/store              data-tier engine stats
 //	GET  /api/v1/admin/runtime            runtime shard/index stats
+//	GET  /api/v1/admin/log                execution-log pages (?after=&limit=)
 //	GET  /api/v1/admin/health             aggregated resilience report
 //	                                      (no auth; 503 when read-only)
 //	GET  /api/v1/admin/alerts[?limit=N]   recent threshold alerts
@@ -54,22 +53,14 @@
 //
 // # Paging envelope
 //
-// Every cursor-paged collection — GET /api/v1/instances (paged or
-// filtered mode), GET /api/v1/instances/{id}/timeline,
+// Every cursor-paged collection — GET /api/v1/instances,
+// GET /api/v1/instances/{id}/timeline,
 // GET /api/v1/monitor/instances/{id}/timeline and GET /api/v1/admin/log
 // — shares one envelope shape: {items, total, next_after}. items is the
 // page, total the collection size where the server knows it without a
-// scan (0 = unknown: filtered instance walks, the unbounded admin log),
-// and next_after the cursor of the following page (absent at the tail;
+// scan (0 = unknown: state/lateness-filtered instance walks), and
+// next_after the cursor of the following page (absent at the tail;
 // pass it back as ?after=).
-//
-// Deprecated aliases: for one release each envelope also carries its
-// pre-unification field names — "instances" on the instance list,
-// "entries" on both timelines, and "entries"/"next"/"more" on the admin
-// log — mirroring items/next_after. The monitor timeline, which used to
-// return a bare JSON array, now returns the envelope (read it from
-// "items"). New clients must use the uniform names; the aliases go away
-// next release.
 //
 // # Errors
 //
@@ -79,17 +70,8 @@
 // overloaded, read_only, internal, not_implemented, unavailable),
 // message the human-readable detail. Backoff rejections additionally
 // carry retry_after_ms (mirrored in the Retry-After header) and
-// read-only rejections mode:"read-only". The legacy "error" field
-// mirrors message for one release (deprecated, like the envelope
-// aliases). SOAP faults are unaffected (SOAP 1.1 fault envelope).
-//
-// # Deprecations
-//
-// GET /api/v1/models/one?uri=U is deprecated in favor of
-// GET /api/v1/models/{uri...} (path-escape the model URI); the old
-// route still works for one release and answers with a
-// "Deprecation: true" header, as does every deprecated-alias envelope.
-// A model whose URI is literally "one" must use the escaped path form.
+// read-only rejections mode:"read-only". SOAP faults are unaffected
+// (SOAP 1.1 fault envelope).
 //
 // Authentication is the hosted-prototype scheme: the X-Gelee-User header
 // names the acting user. With RequireAuth the header must name a known
@@ -133,10 +115,9 @@ const UserHeader = "X-Gelee-User"
 // *gelee.System.
 type Backend interface {
 	DefineModel(actor string, m *core.Model) error
-	Model(uri string) (*core.Model, bool)
 	// ModelView is the read-cache path: a shared value the handler only
 	// marshals, never mutates — repeated fetches of a hot model skip
-	// the defensive clone Model pays.
+	// the defensive clone.
 	ModelView(uri string) (*core.Model, bool)
 	Models() []*core.Model
 	Propagate(actor string, m *core.Model, note string) (int, error)
@@ -154,10 +135,7 @@ type Backend interface {
 	RejectChange(instID, actor, note string) error
 	Instance(id string) (runtime.Snapshot, bool)
 	InstanceSummary(id string) (runtime.Summary, bool)
-	Instances() []runtime.Snapshot
-	Summaries() []runtime.Summary
-	SummariesPage(after int64, limit int) runtime.SummaryPage
-	// QuerySummaries is the filtered page: resource/model URIs are
+	// QuerySummaries serves the instance list: resource/model URIs are
 	// served from the runtime's secondary indexes, state/lateness from
 	// the maintained summary counters.
 	QuerySummaries(f runtime.Filter, after int64, limit int) runtime.SummaryPage
@@ -218,10 +196,8 @@ func (s *Server) routes() {
 	// shedding a request is cheaper than authenticating it.
 	s.mux.HandleFunc("POST /api/v1/models", s.mutating(s.authed(s.handleDefineModel)))
 	s.mux.HandleFunc("GET /api/v1/models", s.handleListModels)
-	// Path-escaped model addressing; the literal "one" route below wins
-	// for exactly /models/one (deprecated query-param lookup).
+	// Path-escaped model addressing.
 	s.mux.HandleFunc("GET /api/v1/models/{uri...}", s.handleGetModelByPath)
-	s.mux.HandleFunc("GET /api/v1/models/one", s.handleGetModel)
 	s.mux.HandleFunc("POST /api/v1/models/propagate", s.mutating(s.authed(s.handlePropagate)))
 	s.mux.HandleFunc("GET /api/v1/actions", s.handleBrowseActions)
 	s.mux.HandleFunc("POST /api/v1/actions", s.mutating(s.authed(s.handleRegisterAction)))
@@ -261,7 +237,7 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/monitor/summary", s.handleMonitorSummary)
 	s.mux.HandleFunc("GET /api/v1/monitor/overview", s.handleMonitorOverview)
 	s.mux.HandleFunc("GET /api/v1/monitor/late", s.handleMonitorLate)
-	s.mux.HandleFunc("GET /api/v1/monitor/instances/{id}/timeline", s.handleTimeline)
+	s.mux.HandleFunc("GET /api/v1/monitor/instances/{id}/timeline", s.handleInstanceTimeline)
 
 	// Widgets.
 	s.mux.HandleFunc("GET /widgets/{id}", s.handleWidgetHTML)
@@ -305,7 +281,6 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 			Code:         "overloaded",
 			Message:      err.Error(),
 			RetryAfterMS: ra.Milliseconds(),
-			Error:        err.Error(),
 		})
 	case errors.Is(err, resilience.ErrReadOnly):
 		w.Header().Set("Retry-After", "5")
@@ -313,7 +288,6 @@ func writeAdmissionError(w http.ResponseWriter, err error) {
 			Code:    "read_only",
 			Message: err.Error(),
 			Mode:    "read-only",
-			Error:   err.Error(),
 		})
 	default:
 		writeError(w, http.StatusServiceUnavailable, err)
@@ -349,9 +323,6 @@ type apiError struct {
 	Message      string `json:"message"`
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
 	Mode         string `json:"mode,omitempty"`
-	// Error mirrors Message under the pre-redesign field name.
-	// Deprecated: read Message; this alias goes away next release.
-	Error string `json:"error"`
 }
 
 // codeFor derives the stable error code from the HTTP status.
@@ -391,7 +362,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, apiError{
 		Code:    codeFor(status),
 		Message: err.Error(),
-		Error:   err.Error(),
 	})
 }
 
@@ -520,9 +490,7 @@ func wantFull(r *http.Request) bool { return r.URL.Query().Get("full") == "1" }
 // ---- page envelopes ----------------------------------------------------------
 //
 // One cursor shape for every paged collection (see the package doc's
-// Paging envelope section): {items, total, next_after}, plus the
-// deprecated per-endpoint aliases kept for one release. Responses
-// carrying an alias also set the "Deprecation: true" header.
+// Paging envelope section): {items, total, next_after}.
 
 // instancesPage is the envelope of the paged/filtered instance list.
 type instancesPage struct {
@@ -532,9 +500,6 @@ type instancesPage struct {
 	// and 0 (unknown) when the filter required a predicate walk.
 	Total     int   `json:"total"`
 	NextAfter int64 `json:"next_after,omitempty"`
-	// Instances mirrors Items.
-	// Deprecated: read Items; this alias goes away next release.
-	Instances []instancePayload `json:"instances"`
 }
 
 // timelinePage is the envelope of both timeline routes, wrapping the
@@ -548,9 +513,6 @@ type timelinePage struct {
 	OldestSeq  int  `json:"oldest_seq"`
 	Truncated  bool `json:"truncated"`
 	Backfilled int  `json:"backfilled,omitempty"`
-	// Entries mirrors Items.
-	// Deprecated: read Items; this alias goes away next release.
-	Entries []monitor.TimelineEntry `json:"entries"`
 }
 
 func toTimelinePage(p monitor.TimelinePage) timelinePage {
@@ -561,7 +523,6 @@ func toTimelinePage(p monitor.TimelinePage) timelinePage {
 		OldestSeq:  p.OldestSeq,
 		Truncated:  p.Truncated,
 		Backfilled: p.Backfilled,
-		Entries:    p.Entries,
 	}
 }
 
@@ -571,24 +532,11 @@ type execLogPage struct {
 	// Total is the number of entries ever appended (hot + archived).
 	Total     int    `json:"total"`
 	NextAfter uint64 `json:"next_after,omitempty"`
-	// Entries/Next/More mirror Items and the cursor state.
-	// Deprecated: read Items/NextAfter; these aliases go away next
-	// release.
-	Entries []store.LogEntry `json:"entries"`
-	Next    uint64           `json:"next"`
-	More    bool             `json:"more"`
-}
-
-// deprecatedAliases marks a response that still carries pre-redesign
-// field names or reached a deprecated route.
-func deprecatedAliases(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
 }
 
 // parseFilter extracts the pushed-down population filter from the
 // query: ?resource=URI, ?model=URI, ?state=active|completed, ?late=1.
-// has reports whether any filter was present.
-func parseFilter(q url.Values) (f runtime.Filter, has bool, err error) {
+func parseFilter(q url.Values) (f runtime.Filter, err error) {
 	f.Resource = q.Get("resource")
 	f.ModelURI = q.Get("model")
 	switch st := q.Get("state"); st {
@@ -596,17 +544,16 @@ func parseFilter(q url.Values) (f runtime.Filter, has bool, err error) {
 	case string(runtime.StateActive), string(runtime.StateCompleted):
 		f.State = runtime.State(st)
 	default:
-		return f, false, fmt.Errorf("bad state %q: want active or completed", st)
+		return f, fmt.Errorf("bad state %q: want active or completed", st)
 	}
 	switch late := q.Get("late"); late {
 	case "", "0", "false":
 	case "1", "true":
 		f.LateOnly = true
 	default:
-		return f, false, fmt.Errorf("bad late %q: want 1 or 0", q.Get("late"))
+		return f, fmt.Errorf("bad late %q: want 1 or 0", q.Get("late"))
 	}
-	has = f.Resource != "" || f.ModelURI != "" || f.State != "" || f.LateOnly
-	return f, has, nil
+	return f, nil
 }
 
 // ---- design-time handlers ------------------------------------------------------
@@ -651,20 +598,10 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleGetModel is the deprecated query-param lookup
-// (GET /api/v1/models/one?uri=U); prefer the path-addressed route.
-func (s *Server) handleGetModel(w http.ResponseWriter, r *http.Request) {
-	deprecatedAliases(w)
-	s.serveModel(w, r, r.URL.Query().Get("uri"))
-}
-
 // handleGetModelByPath is the REST-conventional model fetch: the model
 // URI rides the path, path-escaped (GET /api/v1/models/{uri...}).
 func (s *Server) handleGetModelByPath(w http.ResponseWriter, r *http.Request) {
-	s.serveModel(w, r, r.PathValue("uri"))
-}
-
-func (s *Server) serveModel(w http.ResponseWriter, r *http.Request, uri string) {
+	uri := r.PathValue("uri")
 	m, ok := s.b.ModelView(uri)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no model %q", uri))
@@ -765,24 +702,13 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleListInstances(w http.ResponseWriter, r *http.Request) {
 	// The list view rides the runtime's summary path: no event-history
 	// deep copies, served off the incrementally maintained population
-	// index. With ?after=, ?limit= or any filter param
-	// (?resource=&model=&state=&late=1 — pushed down to the runtime's
-	// secondary indexes) it returns the uniform page envelope; the
-	// bare parameterless call keeps the legacy bare-array shape for one
-	// release.
+	// index, in the uniform page envelope. Filter params
+	// (?resource=&model=&state=&late=1) are pushed down to the runtime's
+	// secondary indexes.
 	q := r.URL.Query()
-	f, filtered, err := parseFilter(q)
+	f, err := parseFilter(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if !filtered && q.Get("after") == "" && q.Get("limit") == "" {
-		sums := s.b.Summaries()
-		out := make([]instancePayload, len(sums))
-		for i, sum := range sums {
-			out[i] = toSummaryPayload(sum)
-		}
-		writeJSON(w, http.StatusOK, out)
 		return
 	}
 	after, err := queryInt64(q.Get("after"))
@@ -800,12 +726,10 @@ func (s *Server) handleListInstances(w http.ResponseWriter, r *http.Request) {
 	for i, sum := range page.Summaries {
 		items[i] = toSummaryPayload(sum)
 	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, instancesPage{
 		Items:     items,
 		Total:     page.Total,
 		NextAfter: page.NextAfter,
-		Instances: items,
 	})
 }
 
@@ -979,21 +903,10 @@ func (s *Server) handleExecLogPage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	next := uint64(after)
-	if n := len(entries); n > 0 {
-		next = entries[n-1].Seq
+	out := execLogPage{Items: entries, Total: s.b.ExecutionLogLen()}
+	if len(entries) == limit {
+		out.NextAfter = entries[limit-1].Seq
 	}
-	out := execLogPage{
-		Items:   entries,
-		Total:   s.b.ExecutionLogLen(),
-		Entries: entries,
-		Next:    next,
-		More:    len(entries) == limit,
-	}
-	if out.More {
-		out.NextAfter = next
-	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -1062,7 +975,7 @@ func (s *Server) handleMonitorSummary(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMonitorOverview(w http.ResponseWriter, r *http.Request) {
-	f, _, err := parseFilter(r.URL.Query())
+	f, err := parseFilter(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1075,7 +988,7 @@ func (s *Server) handleMonitorOverview(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMonitorLate(w http.ResponseWriter, r *http.Request) {
-	f, _, err := parseFilter(r.URL.Query())
+	f, err := parseFilter(r.URL.Query())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1087,35 +1000,12 @@ func (s *Server) handleMonitorLate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rows)
 }
 
-// handleTimeline is the monitor's timeline view. It shares the uniform
-// page envelope with the API timeline route (?after=&limit= page it);
-// the pre-redesign bare-array shape is gone — read the "items" field.
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	after, err := queryInt(q.Get("after"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad after: %w", err))
-		return
-	}
-	limit, err := queryInt(q.Get("limit"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
-		return
-	}
-	page, ok := s.b.Monitor().TimelinePage(r.PathValue("id"), after, limit)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
-		return
-	}
-	deprecatedAliases(w)
-	writeJSON(w, http.StatusOK, toTimelinePage(page))
-}
-
-// handleInstanceTimeline serves the paged history window:
-// ?after=<seq> resumes past a cursor, ?limit=<n> bounds the page. It is
-// backed by the runtime's event window, so it copies only the page —
-// no execution slice, no model — and reports when ring truncation cut
-// the requested range.
+// handleInstanceTimeline serves the paged history window of both
+// timeline routes (the API's and the monitor's): ?after=<seq> resumes
+// past a cursor, ?limit=<n> bounds the page. It is backed by the
+// runtime's event window, so it copies only the page — no execution
+// slice, no model — and reports when ring truncation cut the requested
+// range.
 func (s *Server) handleInstanceTimeline(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	after, err := queryInt(q.Get("after"))
@@ -1133,7 +1023,6 @@ func (s *Server) handleInstanceTimeline(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusNotFound, fmt.Errorf("no instance %q", r.PathValue("id")))
 		return
 	}
-	deprecatedAliases(w)
 	writeJSON(w, http.StatusOK, toTimelinePage(page))
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -128,7 +129,7 @@ func TestFig2EndToEnd(t *testing.T) {
 	resp.Body.Close()
 
 	// The stored model round-trips back as Table I XML.
-	resp, err = http.Get(e.srv.URL + "/api/v1/models/one?uri=" + model.URI + "&format=xml")
+	resp, err = http.Get(e.srv.URL + "/api/v1/models/" + url.PathEscape(model.URI) + "?format=xml")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,18 +203,14 @@ func TestFig2EndToEnd(t *testing.T) {
 
 	// 7. The cockpit saw everything — via the uniform page envelope.
 	var tl struct {
-		Items   []map[string]any `json:"items"`
-		Entries []map[string]any `json:"entries"` // deprecated alias
-		Total   int              `json:"total"`
+		Items []map[string]any `json:"items"`
+		Total int              `json:"total"`
 	}
 	if code := e.call(t, "GET", "/api/v1/monitor/instances/"+inst.ID+"/timeline", "", nil, &tl); code != 200 {
 		t.Fatalf("timeline = %d", code)
 	}
 	if len(tl.Items) < 8 || tl.Total != len(tl.Items) {
 		t.Fatalf("timeline items = %d, total = %d", len(tl.Items), tl.Total)
-	}
-	if len(tl.Entries) != len(tl.Items) {
-		t.Fatalf("deprecated entries alias = %d items, want %d", len(tl.Entries), len(tl.Items))
 	}
 }
 
@@ -447,9 +444,9 @@ func TestInstanceTimelinePaging(t *testing.T) {
 	}
 
 	type pageResp struct {
-		Entries []struct {
+		Items []struct {
 			Seq int `json:"seq"`
-		} `json:"entries"`
+		} `json:"items"`
 		Total     int  `json:"total"`
 		OldestSeq int  `json:"oldest_seq"`
 		Truncated bool `json:"truncated"`
@@ -459,19 +456,19 @@ func TestInstanceTimelinePaging(t *testing.T) {
 	if code := e.call(t, "GET", "/api/v1/instances/"+snap.ID+"/timeline?after=2&limit=3", "", nil, &page); code != 200 {
 		t.Fatalf("timeline = %d", code)
 	}
-	if page.Total != 10 || len(page.Entries) != 3 || page.Entries[0].Seq != 3 || page.NextAfter != 5 {
+	if page.Total != 10 || len(page.Items) != 3 || page.Items[0].Seq != 3 || page.NextAfter != 5 {
 		t.Fatalf("page = %+v", page)
 	}
 	// Defaults: whole history.
 	page = pageResp{}
 	e.call(t, "GET", "/api/v1/instances/"+snap.ID+"/timeline", "", nil, &page)
-	if len(page.Entries) != 10 || page.NextAfter != 0 || page.Truncated {
+	if len(page.Items) != 10 || page.NextAfter != 0 || page.Truncated {
 		t.Fatalf("full page = %+v", page)
 	}
 	// Past the tail.
 	page = pageResp{}
 	e.call(t, "GET", "/api/v1/instances/"+snap.ID+"/timeline?after=50", "", nil, &page)
-	if len(page.Entries) != 0 || page.Total != 10 {
+	if len(page.Items) != 0 || page.Total != 10 {
 		t.Fatalf("past-tail page = %+v", page)
 	}
 	// Errors: bad params and a missing instance.
@@ -687,7 +684,7 @@ func TestDefineModelValidationErrors(t *testing.T) {
 		t.Fatalf("invalid model = %d", resp.StatusCode)
 	}
 	// Unknown model fetch.
-	resp, _ = http.Get(e.srv.URL + "/api/v1/models/one?uri=urn:ghost")
+	resp, _ = http.Get(e.srv.URL + "/api/v1/models/" + url.PathEscape("urn:ghost"))
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Fatalf("unknown model = %d", resp.StatusCode)
@@ -798,42 +795,38 @@ func TestAdminLogPage(t *testing.T) {
 	}
 
 	type page struct {
-		Entries []struct {
+		Items []struct {
 			Seq  uint64 `json:"seq"`
 			Kind string `json:"kind"`
-		} `json:"entries"`
-		Next uint64 `json:"next"`
-		More bool   `json:"more"`
+		} `json:"items"`
+		Total     int    `json:"total"`
+		NextAfter uint64 `json:"next_after"`
 	}
 	var first page
 	if code := e.call(t, "GET", "/api/v1/admin/log?limit=2", "", nil, &first); code != 200 {
 		t.Fatalf("admin log page = %d", code)
 	}
-	if len(first.Entries) != 2 || !first.More {
-		t.Fatalf("first page = %+v, want 2 entries with more", first)
+	if len(first.Items) != 2 || first.NextAfter == 0 || first.Total != total {
+		t.Fatalf("first page = %+v, want 2 entries with more of %d", first, total)
 	}
-	if first.Next != first.Entries[1].Seq {
-		t.Fatalf("cursor next = %d, want last seq %d", first.Next, first.Entries[1].Seq)
+	if first.NextAfter != first.Items[1].Seq {
+		t.Fatalf("cursor next_after = %d, want last seq %d", first.NextAfter, first.Items[1].Seq)
 	}
 	// Walk the cursor to the end; pages must cover the log exactly once.
-	seen := len(first.Entries)
-	cursor := first.Next
-	for {
+	seen := len(first.Items)
+	for cursor := first.NextAfter; cursor != 0; {
 		var p page
 		path := fmt.Sprintf("/api/v1/admin/log?after=%d&limit=2", cursor)
 		if code := e.call(t, "GET", path, "", nil, &p); code != 200 {
 			t.Fatalf("admin log page after %d = %d", cursor, code)
 		}
-		for _, en := range p.Entries {
+		for _, en := range p.Items {
 			if en.Seq <= cursor {
 				t.Fatalf("page after %d returned seq %d", cursor, en.Seq)
 			}
 		}
-		seen += len(p.Entries)
-		if len(p.Entries) == 0 {
-			break
-		}
-		cursor = p.Next
+		seen += len(p.Items)
+		cursor = p.NextAfter
 	}
 	if seen != total {
 		t.Fatalf("cursor walk saw %d entries, log has %d", seen, total)
@@ -893,7 +886,7 @@ func TestAdminRuntimeStats(t *testing.T) {
 }
 
 // TestInstanceListPaging walks GET /api/v1/instances with the
-// creation-seq cursor and expects the paged envelope to tile the flat
+// creation-seq cursor and expects the pages to tile the unpaged
 // listing exactly.
 func TestInstanceListPaging(t *testing.T) {
 	e := newEnv(t, false)
@@ -906,18 +899,17 @@ func TestInstanceListPaging(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var flat []instanceJSON
-	if code := e.call(t, "GET", "/api/v1/instances", "", nil, &flat); code != 200 {
-		t.Fatalf("flat list = %d", code)
-	}
-	if len(flat) != n {
-		t.Fatalf("flat list has %d instances", len(flat))
-	}
-
 	type pageResp struct {
-		Instances []instanceJSON `json:"instances"`
+		Items     []instanceJSON `json:"items"`
 		Total     int            `json:"total"`
 		NextAfter int64          `json:"next_after"`
+	}
+	var all pageResp
+	if code := e.call(t, "GET", "/api/v1/instances", "", nil, &all); code != 200 {
+		t.Fatalf("unpaged list = %d", code)
+	}
+	if len(all.Items) != n || all.Total != n || all.NextAfter != 0 {
+		t.Fatalf("unpaged list = %d items, total %d, next %d", len(all.Items), all.Total, all.NextAfter)
 	}
 	var walked []string
 	after := int64(0)
@@ -931,7 +923,7 @@ func TestInstanceListPaging(t *testing.T) {
 		if page.Total != n {
 			t.Fatalf("total = %d, want %d", page.Total, n)
 		}
-		for _, in := range page.Instances {
+		for _, in := range page.Items {
 			walked = append(walked, in.ID)
 		}
 		pages++
@@ -943,9 +935,9 @@ func TestInstanceListPaging(t *testing.T) {
 	if pages != 3 || len(walked) != n {
 		t.Fatalf("walked %d pages, %d instances", pages, len(walked))
 	}
-	for i := range flat {
-		if walked[i] != flat[i].ID {
-			t.Fatalf("page order diverged at %d: %s vs %s", i, walked[i], flat[i].ID)
+	for i := range all.Items {
+		if walked[i] != all.Items[i].ID {
+			t.Fatalf("page order diverged at %d: %s vs %s", i, walked[i], all.Items[i].ID)
 		}
 	}
 	// Bad cursors are rejected.
@@ -1062,9 +1054,9 @@ func TestTimelineBackfillOverAPI(t *testing.T) {
 		}
 	}
 	var page struct {
-		Entries []struct {
+		Items []struct {
 			Seq int `json:"seq"`
-		} `json:"entries"`
+		} `json:"items"`
 		Total      int  `json:"total"`
 		Truncated  bool `json:"truncated"`
 		Backfilled int  `json:"backfilled"`
@@ -1075,7 +1067,7 @@ func TestTimelineBackfillOverAPI(t *testing.T) {
 	if page.Truncated || page.Backfilled == 0 {
 		t.Fatalf("page not backfilled: %+v", page)
 	}
-	if len(page.Entries) != 12 || page.Entries[0].Seq != 1 {
+	if len(page.Items) != 12 || page.Items[0].Seq != 1 {
 		t.Fatalf("backfilled page shape: %+v", page)
 	}
 	if page.Total != notes+1 {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,6 +42,44 @@ func popRuntime(t testing.TB, cfg Config) *Runtime {
 
 func popRef(i int) resource.Ref {
 	return resource.Ref{URI: fmt.Sprintf("urn:pop:res-%d", i%5), Type: "doc"}
+}
+
+// collectAll gathers every instance pointer, sorted by creation order,
+// by copying and re-sorting the full population — O(N log N) per call,
+// taking only shard membership locks, one stripe at a time. It is the
+// ground truth the population-index tests compare the index against.
+func (r *Runtime) collectAll() []*instance {
+	var all []*instance
+	for _, sh := range r.shards {
+		sh.mu.RLock()
+		for _, in := range sh.instances {
+			all = append(all, in)
+		}
+		sh.mu.RUnlock()
+	}
+	sortBySeq(all)
+	return all
+}
+
+// scanPage serves a SummariesPage window from collectAll: copy every
+// instance pointer, sort the copy, slice the page.
+func scanPage(r *Runtime, after int64, limit int) SummaryPage {
+	all := r.collectAll()
+	page := SummaryPage{Total: len(all)}
+	start := sort.Search(len(all), func(i int) bool { return all[i].seq > after })
+	end := len(all)
+	if limit > 0 && start+limit < end {
+		end = start + limit
+	}
+	for _, in := range all[start:end] {
+		in.mu.Lock()
+		page.Summaries = append(page.Summaries, in.summary())
+		in.mu.Unlock()
+	}
+	if end < len(all) {
+		page.NextAfter = all[end-1].seq
+	}
+	return page
 }
 
 // assertIndexMatchesCollectAll compares the population index against
@@ -233,76 +272,76 @@ func TestPopulationIndexReplayFromSnapshots(t *testing.T) {
 
 // TestSummariesPageCursorStability walks the population by cursor
 // while creators keep instantiating, and asserts the walk never skips
-// or duplicates an instance that existed before it started — the
-// invariant the collectAll scan gave for free and the ordered index
-// must preserve.
+// or duplicates an instance that was published before it started, and
+// that its cursor only moves forward — the invariant a sorted full scan
+// gives for free and the ordered index must preserve. Each walk ends
+// once its cursor passes the high-water seq captured at its start, and
+// the creators get a fixed quota per walk: creates overlap every walk,
+// yet neither the walk nor the population can grow without bound.
 func TestSummariesPageCursorStability(t *testing.T) {
-	const preSeeded = 150
+	const (
+		preSeeded = 150
+		creators  = 3
+		quota     = 40 // creates per creator per walk
+	)
 	rt := popRuntime(t, Config{})
 	model := popModel()
-	pre := make(map[string]int64, preSeeded)
-	var maxPreSeq int64
 	for i := 0; i < preSeeded; i++ {
-		snap, err := rt.Instantiate(model, popRef(i), "owner", nil)
-		if err != nil {
+		if _, err := rt.Instantiate(model, popRef(i), "owner", nil); err != nil {
 			t.Fatal(err)
 		}
-		sum, _ := rt.Summary(snap.ID)
-		pre[snap.ID] = sum.Seq
-		if sum.Seq > maxPreSeq {
-			maxPreSeq = sum.Seq
-		}
-	}
-
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for c := 0; c < 3; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				if _, err := rt.Instantiate(model, popRef(c+i), "owner", nil); err != nil {
-					t.Errorf("instantiate: %v", err)
-					return
-				}
-			}
-		}(c)
 	}
 
 	for walk := 0; walk < 25; walk++ {
-		seen := make(map[string]bool)
+		before := rt.collectAll()
+		hw := rt.nextInst.Load()
+		var wg sync.WaitGroup
+		for c := 0; c < creators; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < quota; i++ {
+					if _, err := rt.Instantiate(model, popRef(c+i), "owner", nil); err != nil {
+						t.Errorf("instantiate: %v", err)
+						return
+					}
+				}
+			}(c)
+		}
+
+		seen := make(map[string]int, len(before))
 		var after int64
 		for {
 			page := rt.SummariesPage(after, 7)
 			for _, s := range page.Summaries {
-				if _, isPre := pre[s.ID]; isPre {
-					if seen[s.ID] {
-						t.Fatalf("walk %d saw pre-existing %s twice", walk, s.ID)
-					}
-					seen[s.ID] = true
-				}
+				seen[s.ID]++
 				if s.Seq <= after {
 					t.Fatalf("walk %d: cursor went backwards (%d after %d)", walk, s.Seq, after)
 				}
 				after = s.Seq
 			}
-			if page.NextAfter == 0 {
+			if page.NextAfter == 0 || page.NextAfter >= hw {
 				break
 			}
 			after = page.NextAfter
 		}
-		if len(seen) != preSeeded {
-			t.Fatalf("walk %d saw %d of %d pre-existing instances", walk, len(seen), preSeeded)
+		for _, in := range before {
+			if n := seen[in.id]; n != 1 {
+				t.Fatalf("walk %d saw pre-existing %s %d times, want once", walk, in.id, n)
+			}
 		}
+		wg.Wait()
 	}
-	stop.Store(true)
-	wg.Wait()
+	if got, want := rt.Count(), preSeeded+25*creators*quota; got != want {
+		t.Fatalf("population = %d, want %d", got, want)
+	}
 	assertIndexMatchesCollectAll(t, rt)
 }
 
-// TestSummariesPageMatchesScan pins the indexed page to the deprecated
-// collectAll scan across cursors and limits: same summaries, same
-// totals, same next cursor.
+// TestSummariesPageMatchesScan pins the indexed page to a sorted full
+// scan across cursors and limits: same summaries, same totals, same
+// next cursor. It also pins the query counters: pages are indexed
+// queries, and only a predicate-filtered walk counts as a scan.
 func TestSummariesPageMatchesScan(t *testing.T) {
 	rt := popRuntime(t, Config{Shards: 7})
 	model := popModel()
@@ -315,7 +354,7 @@ func TestSummariesPageMatchesScan(t *testing.T) {
 		var after int64
 		for pages := 0; ; pages++ {
 			idx := rt.SummariesPage(after, limit)
-			scan := rt.SummariesPageScan(after, limit)
+			scan := scanPage(rt, after, limit)
 			if idx.Total != scan.Total || idx.NextAfter != scan.NextAfter || len(idx.Summaries) != len(scan.Summaries) {
 				t.Fatalf("limit %d after %d: index {%d items, total %d, next %d} vs scan {%d, %d, %d}",
 					limit, after, len(idx.Summaries), idx.Total, idx.NextAfter,
@@ -334,8 +373,16 @@ func TestSummariesPageMatchesScan(t *testing.T) {
 		}
 	}
 	st := rt.RuntimeStats().PopulationIndex
-	if st.IndexedQueries == 0 || st.ScanQueries == 0 {
-		t.Fatalf("query counters not maintained: %+v", st)
+	if st.IndexedQueries == 0 || st.ScanQueries != 0 {
+		t.Fatalf("after unfiltered pages: %+v, want indexed queries and no scans", st)
+	}
+	rt.QuerySummaries(Filter{ModelURI: "urn:pop:model"}, 0, 10)
+	rt.QuerySummaries(Filter{State: StateActive}, 0, 10)
+	rt.ForEachSummary(Filter{LateOnly: true}, 0, func(Summary) bool { return true })
+	rt.ForEachSummary(Filter{}, 0, func(Summary) bool { return true })
+	st2 := rt.RuntimeStats().PopulationIndex
+	if st2.ScanQueries != 2 || st2.IndexedQueries != st.IndexedQueries+2 {
+		t.Fatalf("after two predicate walks and two indexed queries: %+v (before %+v)", st2, st)
 	}
 }
 

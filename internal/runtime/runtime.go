@@ -371,7 +371,7 @@ type Runtime struct {
 	// Population-index counters (see popindex.go).
 	popOutOfOrder atomic.Int64 // ordered inserts that were not appends
 	popIndexed    atomic.Int64 // population queries served from indexes
-	popScans      atomic.Int64 // deprecated full-scan baseline calls
+	popScans      atomic.Int64 // predicate-filtered population walks
 
 	// Persistence counters (see journal.go). recoveryStart is written
 	// once (recoveryOnce makes that safe under parallel replay);
@@ -707,25 +707,6 @@ func (r *Runtime) Count() int {
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// collectAll gathers every instance pointer, sorted by creation order,
-// by copying and re-sorting the full population — O(N log N) per call.
-// Only shard membership locks are taken, one stripe at a time. The hot
-// read paths stream off the population index instead (popindex.go);
-// this remains as the ground truth of the index equivalence tests and
-// the measured baseline behind SummariesPageScan.
-func (r *Runtime) collectAll() []*instance {
-	var all []*instance
-	for _, sh := range r.shards {
-		sh.mu.RLock()
-		for _, in := range sh.instances {
-			all = append(all, in)
-		}
-		sh.mu.RUnlock()
-	}
-	sortBySeq(all)
-	return all
 }
 
 // sortBySeq orders instances by creation sequence; seq is immutable so

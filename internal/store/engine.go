@@ -72,8 +72,8 @@ type EngineStats struct {
 	ArchivesWritten uint64 `json:"archives_written,omitempty"`
 	OrphanArchives  uint64 `json:"orphan_archives,omitempty"`
 
-	// Integrity is the corruption-detection ledger: framing mode, torn
-	// tails recovered at open, corrupt/quarantined file counts, and the
+	// Integrity is the corruption-detection ledger: torn tails
+	// recovered at open, corrupt/quarantined file counts, and the
 	// background scrubber's progress.
 	Integrity IntegrityStats `json:"integrity"`
 

@@ -19,10 +19,6 @@ type JournalConfig struct {
 	Dir string
 	// Sync fsyncs once per committed batch — durable group commit.
 	Sync bool
-	// SyncEveryAppend commits and fsyncs each append on its own
-	// (forces FlushBatch=1 and Sync). This is the pre-engine baseline,
-	// kept so benchmarks can measure what group commit buys.
-	SyncEveryAppend bool
 	// FlushInterval is how long the writer waits for more appends to
 	// grow a batch once it has at least one. 0 means opportunistic:
 	// commit whatever is queued, never wait.
@@ -42,8 +38,8 @@ type JournalConfig struct {
 	// rotation leaves at least SnapshotEvery sealed segments unfolded —
 	// the hook the Store's background folder hangs off.
 	OnSeal func()
-	// Integrity tunes corruption detection: record framing, quarantine
-	// mode, the background scrubber (see IntegrityOptions).
+	// Integrity tunes corruption detection: quarantine mode and the
+	// background scrubber (see IntegrityOptions).
 	Integrity IntegrityOptions
 }
 
@@ -108,11 +104,6 @@ func NewJournalEngine(cfg JournalConfig) (Engine, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
-	if cfg.SyncEveryAppend {
-		cfg.Sync = true
-		cfg.FlushBatch = 1
-		cfg.FlushInterval = 0
-	}
 	if cfg.FlushBatch <= 0 {
 		cfg.FlushBatch = DefaultFlushBatch
 	}
@@ -175,14 +166,13 @@ func (e *journalEngine) Replay(fn func(Entry) error) error {
 	if err != nil {
 		return err
 	}
-	framed := !e.cfg.Integrity.DisableFraming
-	j, err := openJournal(filepath.Join(e.cfg.Dir, journalName), sr.lastSeq, framed)
+	j, err := OpenJournal(filepath.Join(e.cfg.Dir, journalName), sr.lastSeq)
 	if err != nil {
 		return err
 	}
 	j.adoptReplay(sr.active)
 	e.j = j
-	e.sf = newSegFiles(e.cfg.Dir, sr.state, framed)
+	e.sf = newSegFiles(e.cfg.Dir, sr.state)
 	e.sf.adoptIntegrity(sr, quarantined, corrupt, e.cfg.Integrity.OnCorrupt)
 	e.sf.adoptArchives(kept, keptBytes, hi, removed)
 	sr.stats.ArchiveRefs = len(refs)

@@ -30,8 +30,8 @@ type InstancesOptions struct {
 	// resilience layer watches. Called on the write path; must be O(1)
 	// and must not call back into the collection.
 	OnAppendResult func(error)
-	// Integrity tunes corruption detection: record framing, quarantine
-	// mode, the background scrubber (see IntegrityOptions).
+	// Integrity tunes corruption detection: quarantine mode and the
+	// background scrubber (see IntegrityOptions).
 	Integrity IntegrityOptions
 }
 
@@ -199,15 +199,14 @@ func (c *Instances) ReplayParallel(workers int, fn func(id string, data []byte) 
 	if err := truncateTorn(c.dir, sr.active.good); err != nil {
 		return err
 	}
-	framed := !c.opts.Integrity.DisableFraming
-	j, err := openJournal(filepath.Join(c.dir, journalName), sr.lastSeq, framed)
+	j, err := OpenJournal(filepath.Join(c.dir, journalName), sr.lastSeq)
 	if err != nil {
 		return err
 	}
 	j.adoptReplay(sr.active)
 	c.mu.Lock()
 	c.j = j
-	c.sf = newSegFiles(c.dir, sr.state, framed)
+	c.sf = newSegFiles(c.dir, sr.state)
 	c.sf.adoptIntegrity(sr, quarantined, corrupt, c.opts.Integrity.OnCorrupt)
 	c.flushedSeq = sr.lastSeq
 	c.replayStats = sr.stats

@@ -22,7 +22,7 @@ const DefaultScrubBytesPerTick = 8 << 20
 // IntegrityOptions tune corruption detection and handling for a journal
 // directory (the store journal via Options.Integrity / JournalConfig,
 // the instance journal via InstancesOptions.Integrity). The zero value
-// is safe: framing on, quarantine off, scrubber off.
+// is safe: quarantine off, scrubber off (records are always framed).
 type IntegrityOptions struct {
 	// Quarantine moves a file that fails verification at open aside
 	// (renamed with a .quarantined suffix) instead of failing the open,
@@ -30,11 +30,6 @@ type IntegrityOptions struct {
 	// repairs or restores. Every move is reported through OnCorrupt —
 	// the hook the embedding system uses to latch read-only.
 	Quarantine bool
-	// DisableFraming writes bare legacy JSONL lines without per-record
-	// CRCs or segment footers — the pre-upgrade format, kept so
-	// benchmarks can measure framing overhead. Replay accepts both
-	// formats regardless.
-	DisableFraming bool
 	// ScrubInterval paces the background scrubber verifying sealed
 	// segments, snapshots and archives while serving. 0 disables it.
 	ScrubInterval time.Duration
@@ -65,8 +60,6 @@ type CorruptFile struct {
 // admin store stats: what open recovered or refused, and what the
 // background scrubber has verified.
 type IntegrityStats struct {
-	// Framing reports whether appends write v1 CRC envelopes.
-	Framing bool `json:"framing"`
 	// TornTails / TornTailBytes count files whose invalid suffix open
 	// dropped as a crash tail — recovered, but observable.
 	TornTails     uint64 `json:"torn_tails_recovered,omitempty"`

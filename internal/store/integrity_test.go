@@ -5,9 +5,10 @@ package store
 // active-file tail, active-file interior, sealed segment, snapshot,
 // archive — against both the store journal and the instance journal,
 // plus quarantine mode, the background scrubber, offline Fsck and the
-// legacy (unframed) compatibility path.
+// reader's legacy (unframed) compatibility path.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -92,8 +93,8 @@ func TestTornActiveTailRecovers(t *testing.T) {
 		t.Fatal("the torn record replayed despite its broken CRC")
 	}
 	integ := s2.Stats().Engine.Integrity
-	if !integ.Framing || integ.TornTails != 1 || integ.TornTailBytes == 0 {
-		t.Fatalf("torn-tail accounting = %+v, want framing on, 1 torn tail", integ)
+	if integ.TornTails != 1 || integ.TornTailBytes == 0 {
+		t.Fatalf("torn-tail accounting = %+v, want 1 torn tail", integ)
 	}
 	if integ.CorruptFiles != 0 {
 		t.Fatalf("a recoverable tail counted as corruption: %+v", integ)
@@ -418,28 +419,27 @@ func TestScrubLoopRunsOnInterval(t *testing.T) {
 }
 
 // TestLegacyUnframedJournalOpens writes a pre-upgrade journal (bare
-// JSONL, no CRCs) and opens it with framing on: the version sniff
-// replays it unchanged, new appends are framed, and the mixed file
-// still seals under a correct whole-file footer.
+// JSONL, no CRCs) and opens it: the version sniff replays it
+// unchanged, new appends are framed, and the mixed file still seals
+// under a correct whole-file footer.
 func TestLegacyUnframedJournalOpens(t *testing.T) {
 	dir := t.TempDir()
-	j, err := openJournal(filepath.Join(dir, journalName), 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var legacy []byte
 	for i := 0; i < 5; i++ {
-		if _, err := j.Append(Entry{Repo: "docs", Op: OpPut, ID: fmt.Sprintf("k%02d", i),
-			Data: []byte(fmt.Sprintf(`{"title":"legacy","rev":%d}`, i))}); err != nil {
+		line, err := json.Marshal(Entry{Seq: uint64(i + 1), Repo: "docs", Op: OpPut, ID: fmt.Sprintf("k%02d", i),
+			Data: []byte(fmt.Sprintf(`{"title":"legacy","rev":%d}`, i))})
+		if err != nil {
 			t.Fatal(err)
 		}
+		legacy = append(append(legacy, line...), '\n')
 	}
-	if err := j.Close(); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, journalName), legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s, repo, err := openIntegrityStore(t, dir, IntegrityOptions{})
 	if err != nil {
-		t.Fatalf("legacy journal failed to open with framing on: %v", err)
+		t.Fatalf("legacy journal failed to open: %v", err)
 	}
 	for i := 0; i < 5; i++ {
 		if got, ok := repo.Get(fmt.Sprintf("k%02d", i)); !ok || got.Rev != i {

@@ -52,7 +52,7 @@ type Store struct {
 	clock      vclock.Clock
 	parts      map[string]journaled
 	shards     int
-	window     int // log live-window entry count; -1 = inline (legacy)
+	window     int // log live-window entry count
 	loaded     bool
 	loadCalled bool
 	closed     bool
@@ -91,9 +91,6 @@ type Options struct {
 	// Sync makes the engine fsync every group-commit batch: durable,
 	// and far cheaper than per-append fsync under concurrency.
 	Sync bool
-	// SyncEveryAppend commits and fsyncs each append individually —
-	// the pre-engine baseline, kept for comparison benchmarks.
-	SyncEveryAppend bool
 	// Shards is the repository lock-stripe count (default
 	// DefaultShards, minimum 1). More shards, less contention.
 	Shards int
@@ -113,9 +110,8 @@ type Options struct {
 	SnapshotEvery int
 	// LogLiveWindow is how many of a log's newest entries stay in RAM
 	// and in the snapshot; older entries are spilled by folds into
-	// immutable archive files carried by reference. 0 means
-	// DefaultLogLiveWindow; negative disables archiving (every fold
-	// rewrites full log history inline — the legacy behavior).
+	// immutable archive files carried by reference. 0 (or negative)
+	// means DefaultLogLiveWindow.
 	LogLiveWindow int
 	// FoldMinInterval is the minimum wall-clock spacing between
 	// background folds: a seal poking the folder sooner defers the
@@ -143,9 +139,8 @@ type Options struct {
 	// on the commit path — must be O(1) and must not call back into
 	// the store.
 	OnAppendResult func(error)
-	// Integrity tunes corruption detection on the journal: record
-	// framing, quarantine mode, the background scrubber (see
-	// IntegrityOptions).
+	// Integrity tunes corruption detection on the journal: quarantine
+	// mode and the background scrubber (see IntegrityOptions).
 	Integrity IntegrityOptions
 }
 
@@ -212,10 +207,8 @@ func New(engine Engine, opts Options) *Store {
 		shards = DefaultShards
 	}
 	window := opts.LogLiveWindow
-	if window == 0 {
+	if window <= 0 {
 		window = DefaultLogLiveWindow
-	} else if window < 0 {
-		window = -1
 	}
 	return &Store{
 		engine:         engine,
@@ -239,7 +232,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	engine, err := NewJournalEngine(JournalConfig{
 		Dir:             dir,
 		Sync:            opts.Sync,
-		SyncEveryAppend: opts.SyncEveryAppend,
 		FlushInterval:   opts.FlushInterval,
 		FlushBatch:      opts.FlushBatch,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
@@ -286,7 +278,7 @@ func (s *Store) register(name string, part journaled) error {
 // numShards reports the lock-stripe count repositories should use.
 func (s *Store) numShards() int { return s.shards }
 
-// logWindow reports the configured log live-window (-1 = inline).
+// logWindow reports the configured log live-window.
 func (s *Store) logWindow() int { return s.window }
 
 // readArchive streams one archived ref through fn — the log's cold

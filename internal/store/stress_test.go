@@ -306,30 +306,6 @@ func TestGroupCommitBatchesAndAcks(t *testing.T) {
 	}
 }
 
-// TestPerAppendSyncBaseline checks the benchmark baseline mode still
-// honors the old contract: one fsync per append, batches of one.
-func TestPerAppendSyncBaseline(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{SyncEveryAppend: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repo := MustRepo[doc](s, "docs")
-	if err := s.Load(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 10; i++ {
-		if err := repo.Put(fmt.Sprintf("k%d", i), doc{Rev: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.Engine.Appends != 10 || st.Engine.Batches != 10 || st.Engine.Syncs != 10 || st.Engine.MaxBatch != 1 {
-		t.Fatalf("baseline stats = %+v, want 10 appends/batches/syncs, max batch 1", st.Engine)
-	}
-}
-
 // TestExplicitEngineConstruction exercises the pluggable path: a store
 // built on an explicit memory engine via New, loaded, sharded by an
 // explicit stripe count.

@@ -105,8 +105,11 @@ func TestRotationBoundaryKillRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No sys.Close, ever: every acknowledged mutation must already be
-	// on disk, wherever rotation and folding have shuffled it.
+	// No sys.Close before recovery: every acknowledged mutation must
+	// already be on disk, wherever rotation and folding have shuffled
+	// it. The cleanup only stops the abandoned system's background
+	// folder before the temp dir is removed.
+	t.Cleanup(func() { sys.Close() })
 	ids := seedWorkload(t, sys)
 	for round := 0; round < 30; round++ {
 		for _, id := range ids {
