@@ -626,9 +626,17 @@ func BenchmarkJournalAppend(b *testing.B) {
 }
 
 // BenchmarkJournalDurableConcurrentPut measures concurrent durable
-// writes through the group-commit writer: no Put returns before its
-// entry is fsynced, and the fsync is amortized across each batch.
+// writes through the store's one journal appender, from both of its
+// owners at the same parallelism: repository Puts on the definitions
+// journal and records on the instance journal. No write returns before
+// its record is fsynced, and concurrent writes share each fsync.
 func BenchmarkJournalDurableConcurrentPut(b *testing.B) {
+	report := func(b *testing.B, st store.EngineStats) {
+		b.ReportMetric(float64(st.Syncs), "fsyncs")
+		if st.Batches > 0 {
+			b.ReportMetric(float64(st.Appends)/float64(st.Batches), "appends/batch")
+		}
+	}
 	b.Run("group-commit", func(b *testing.B) {
 		st, err := store.Open(b.TempDir(), store.Options{Sync: true})
 		if err != nil {
@@ -654,17 +662,39 @@ func BenchmarkJournalDurableConcurrentPut(b *testing.B) {
 			}
 		})
 		b.StopTimer()
-		stats := st.Stats()
-		b.ReportMetric(float64(stats.Engine.Syncs), "fsyncs")
-		if stats.Engine.Batches > 0 {
-			b.ReportMetric(float64(stats.Engine.Appends)/float64(stats.Engine.Batches), "appends/batch")
+		report(b, st.Stats().Engine)
+	})
+	b.Run("instances", func(b *testing.B) {
+		coll, err := store.OpenInstances(b.TempDir(), store.InstancesOptions{Sync: true})
+		if err != nil {
+			b.Fatal(err)
 		}
+		if err := coll.Replay(func(string, []byte) error { return nil }); err != nil {
+			b.Fatal(err)
+		}
+		defer coll.Close()
+		rec := []byte(`{"kind":"advance","phase":"elaboration","actor":"owner"}`)
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.SetParallelism(4)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				k := next.Add(1)
+				if err := coll.Append(fmt.Sprintf("li-%06d", k%4096), rec); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		b.StopTimer()
+		report(b, coll.Stats())
 	})
 }
 
 // BenchmarkConcurrentInstantiateAdvance drives the whole stack — facade,
 // runtime, sharded repositories, execution log, journal engine — from
-// many goroutines at once, persistent and durable under group commit.
+// many goroutines at once, persistent and durable with shared commits.
 func BenchmarkConcurrentInstantiateAdvance(b *testing.B) {
 	b.Run("group-commit", func(b *testing.B) {
 		sys, err := New(Options{

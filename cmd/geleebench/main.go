@@ -755,7 +755,7 @@ func runMonitorReadPath() error {
 // runPersist measures the durable-runtime refactor: the write-through
 // overhead of journaling every token move (the acceptance bar is ≤2x
 // over the RAM-only advance path under a concurrent workload, where
-// group commit amortizes the append), and the replay throughput of
+// shared commits amortize the append), and the replay throughput of
 // rebuilding the whole runtime from the journal on restart. Results go
 // to stdout and BENCH_persist.json.
 func runPersist() error {
@@ -827,7 +827,7 @@ func runPersist() error {
 	}
 
 	// Write-through: every mutation journaled through the instance
-	// collection's group-commit engine before it is acknowledged.
+	// collection's journal before it is acknowledged.
 	dir, err := os.MkdirTemp("", "gelee-bench-persist-*")
 	if err != nil {
 		return err

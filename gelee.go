@@ -120,18 +120,13 @@ type Options struct {
 	// Engine selects the storage engine: "" (auto — journal when
 	// DataDir is set, memory otherwise), "journal", or "memory".
 	Engine string
-	// SyncJournal makes the journal engine fsync every group-commit
-	// batch: durable writes at a fraction of the per-append cost.
+	// SyncJournal makes both journals (definitions and instances) fsync
+	// every commit before acknowledging it. Concurrent appends share one
+	// commit, so durable writes cost a fraction of a per-append fsync.
 	SyncJournal bool
 	// StoreShards overrides the repository lock-stripe count
 	// (0 = store.DefaultShards).
 	StoreShards int
-	// JournalFlushInterval is how long the group-commit writer waits
-	// to grow a batch (0 = opportunistic).
-	JournalFlushInterval time.Duration
-	// JournalFlushBatch caps journal entries per group-commit batch
-	// (0 = store default).
-	JournalFlushBatch int
 	// SegmentMaxBytes seals a journal's active segment once it grows
 	// past this size and rotates to a fresh one — an O(1) rename under
 	// the appender lock, so writers never wait on compaction. Sealed
@@ -184,12 +179,13 @@ type Options struct {
 	InvocationRetention time.Duration
 	// PersistInstances makes lifecycle instances durable: every
 	// instance mutation is written through to a dedicated instance
-	// journal (under DataDir/instances with the journal engine, a
-	// no-op sink with the memory engine) before it is acknowledged,
-	// and on open the journal is replayed — token positions, event
+	// journal under DataDir/instances before it is acknowledged, and
+	// on open the journal is replayed — token positions, event
 	// histories, executions, pending changes, secondary indexes and
 	// incremental counters all come back. Without it instances live
-	// only in RAM, the paper's original data-tier split.
+	// only in RAM, the paper's original data-tier split. With the
+	// memory engine there is no journal to write to, and it is a
+	// no-op.
 	PersistInstances bool
 	// Clock overrides the wall clock (tests, benchmarks).
 	Clock vclock.Clock
@@ -233,8 +229,8 @@ const DefaultReadCacheEntries = store.DefaultReadCacheEntries
 // for the health-state-machine and breaker semantics.
 type ResilienceOptions struct {
 	// MaxQueueDepth is the admission watermark: when the data tier's
-	// commit backlog (group-commit queue depth, instance-appender
-	// in-flight count, or DepthSignal — whichever is highest) reaches
+	// commit backlog (the appenders in flight on the definitions or the
+	// instance journal, or DepthSignal — whichever is highest) reaches
 	// it, mutating HTTP requests shed with 429 + Retry-After until the
 	// backlog falls back to half the watermark. Reads continue.
 	// 0 disables shedding.
@@ -416,8 +412,6 @@ func New(opts Options) (*System, error) {
 	storeOpts := store.Options{
 		Sync:             opts.SyncJournal,
 		Shards:           opts.StoreShards,
-		FlushInterval:    opts.JournalFlushInterval,
-		FlushBatch:       opts.JournalFlushBatch,
 		SegmentMaxBytes:  opts.SegmentMaxBytes,
 		SnapshotEvery:    opts.SnapshotEvery,
 		LogLiveWindow:    opts.LogLiveWindow,
@@ -488,26 +482,22 @@ func New(opts Options) (*System, error) {
 	s.users = store.MustRepo[access.User](st, "users")
 	s.grants = store.MustRepo[access.Grant](st, "grants")
 	s.execLog = store.MustLog(st, "execlog")
-	if opts.PersistInstances {
-		// The instance collection runs on its own engine (its own
-		// journal file under DataDir/instances) so instance writes
-		// never order an instance lock against the definitions store's
-		// commit lock; see store.Instances.
-		if engine == "journal" {
-			coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
-				store.InstancesOptions{
-					Sync:            opts.SyncJournal,
-					SegmentMaxBytes: opts.SegmentMaxBytes,
-					SnapshotEvery:   opts.SnapshotEvery,
-					Integrity:       integ,
-				})
-			if err != nil {
-				return nil, err
-			}
-			s.instances = coll
-		} else {
-			s.instances = store.NewInstances(store.NewMemoryEngine())
+	if opts.PersistInstances && engine == "journal" {
+		// The instance collection runs on its own journal (under
+		// DataDir/instances) so instance writes never order an instance
+		// lock against the definitions store's commit lock; see
+		// store.Instances.
+		coll, err := store.OpenInstances(filepath.Join(opts.DataDir, "instances"),
+			store.InstancesOptions{
+				Sync:            opts.SyncJournal,
+				SegmentMaxBytes: opts.SegmentMaxBytes,
+				SnapshotEvery:   opts.SnapshotEvery,
+				Integrity:       integ,
+			})
+		if err != nil {
+			return nil, err
 		}
+		s.instances = coll
 	}
 	if err := st.Load(); err != nil {
 		return nil, err
@@ -626,9 +616,10 @@ func New(opts Options) (*System, error) {
 	}
 
 	// Admission control: the mutation gate sheds when the commit
-	// backlog — group-commit queue depth, instance-appender in-flight
-	// count, or the external DepthSignal, whichever is highest —
-	// crosses the watermark, and rejects outright in read-only mode.
+	// backlog — the appenders in flight on either journal (both are the
+	// same store appender, so the two counts mean the same thing), or
+	// the external DepthSignal, whichever is highest — crosses the
+	// watermark, and rejects outright in read-only mode.
 	depth := func() int {
 		d := st.QueueDepth()
 		if s.instances != nil {

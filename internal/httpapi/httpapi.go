@@ -217,7 +217,7 @@ func (s *Server) routes() {
 	// read-only 429/503 tells the action service to retry its report.
 	s.mux.HandleFunc("POST /api/v1/callbacks/{inv}", s.mutating(s.handleCallback))
 
-	// Admin: data-tier engine health (group-commit counters, shard
+	// Admin: data-tier engine health (journal commit counters, shard
 	// count, per-repository sizes) and runtime health (instance-shard
 	// occupancy, secondary-index sizes).
 	s.mux.HandleFunc("GET /api/v1/admin/store", s.authed(s.handleStoreStats))

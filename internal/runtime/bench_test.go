@@ -107,7 +107,7 @@ func BenchmarkEventsPage(b *testing.B) {
 // BenchmarkPersistAdvance measures the write-through cost of the
 // durability seam: token moves with no journal, with the record codec
 // feeding an in-memory sink (encode-only), and with the real on-disk
-// flush-combining instance journal.
+// instance journal (store.Instances).
 func BenchmarkPersistAdvance(b *testing.B) {
 	modes := []struct {
 		name string

@@ -26,7 +26,7 @@ func (s storeSink) Record(rec *JournalRecord) error {
 }
 
 // TestStressPersistCrashRecovery hammers a journaled runtime from many
-// goroutines against the real flush-combining instance journal, then
+// goroutines against the real on-disk instance journal, then
 // simulates a crash: the collection is abandoned without Close and the
 // journal file gets a torn partial batch appended (the damage a kill
 // mid-write leaves). A fresh collection+runtime pair must replay every

@@ -1,13 +1,16 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
 // Engine state names reported by EngineStats.State. An engine is
-// running while it accepts appends, draining while a Close flushes the
-// commit queue, and closed afterwards. Draining is first-class so that
+// running while it accepts appends, draining while a Close commits
+// what is pending, and closed afterwards. Draining is first-class so that
 // operators (and the admin endpoint) can observe a shutdown in flight.
 const (
 	StateRunning  = "running"
@@ -29,14 +32,17 @@ type EngineStats struct {
 	LastSeq uint64 `json:"last_seq"`
 	// Appends counts entries committed since open.
 	Appends uint64 `json:"appends"`
-	// Batches counts group commits; Appends/Batches is the mean batch
-	// size achieved. For the memory engine Batches == Appends.
+	// Batches counts commits — one flush (+ one fsync in durable mode)
+	// covering every record written since the last; Appends/Batches is
+	// the mean batch size achieved. For the memory engine Batches ==
+	// Appends.
 	Batches uint64 `json:"batches"`
-	// Syncs counts fsync calls (one per batch in durable mode).
+	// Syncs counts commit fsyncs (one per batch in durable mode).
 	Syncs uint64 `json:"syncs"`
-	// MaxBatch is the largest batch committed in one write+fsync.
+	// MaxBatch is the largest batch committed in one flush+fsync.
 	MaxBatch int `json:"max_batch"`
-	// Pending is the number of appends queued but not yet committed.
+	// Pending is the number of appends in flight: written or waiting
+	// for their commit, not yet acknowledged (Engine.Depth).
 	Pending int `json:"pending"`
 
 	// Segment-rotation and snapshot-folding counters (zero for engines
@@ -133,12 +139,12 @@ type Engine interface {
 	Scrub(maxBytes int64) ScrubResult
 	// Stats reports engine health and throughput counters.
 	Stats() EngineStats
-	// Depth is the number of appends queued but not yet committed — an
-	// O(1) saturation signal for admission control, cheap enough to
+	// Depth is the number of appends in flight, not yet acknowledged —
+	// an O(1) saturation signal for admission control, cheap enough to
 	// sample per request.
 	Depth() int
-	// Close drains pending appends, flushes, and releases resources.
-	// It is idempotent.
+	// Close commits pending appends and releases resources. It is
+	// idempotent.
 	Close() error
 }
 
@@ -173,7 +179,7 @@ func (m *memEngine) Append(e Entry, onCommit func(uint64)) (uint64, error) {
 func (m *memEngine) Seal() error { return nil }
 
 // Depth implements Engine: in-memory appends commit synchronously, so
-// nothing ever queues.
+// none is ever in flight.
 func (m *memEngine) Depth() int { return 0 }
 
 // Fold implements Engine: nothing persisted, nothing to fold. build is
@@ -207,4 +213,138 @@ func (m *memEngine) Stats() EngineStats {
 func (m *memEngine) Close() error {
 	m.closed.Store(true)
 	return nil
+}
+
+// journalEngine is the default persistent engine: a segmented
+// append-only JSONL journal written through one segLog, so concurrent
+// appends share a flush (and an fsync in durable mode) and their
+// onCommit hooks run in journal order. The active segment rotates at
+// SegmentMaxBytes; Fold compacts sealed segments into a snapshot while
+// appends proceed (see the package doc's segment section).
+type journalEngine struct {
+	log *segLog
+	// foldMu serializes folds and lets Close wait out an in-flight one.
+	foldMu sync.Mutex
+}
+
+// NewJournalEngine builds (but does not open) a journaled engine; the
+// journal is replayed and opened by Replay.
+func NewJournalEngine(cfg JournalConfig) (Engine, error) {
+	l, err := newSegLog(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &journalEngine{log: l}, nil
+}
+
+// Replay implements Engine: stream the newest snapshot, the uncovered
+// sealed segments and the active file through fn (skipping folded
+// duplicates), reconcile archive files against the refs the snapshot
+// carried (a referenced archive must exist intact; unreferenced ones
+// are leftovers of a fold that crashed before its snapshot installed,
+// and are removed), then open the log for appending.
+func (e *journalEngine) Replay(fn func(Entry) error) error {
+	// Archive refs only ever appear in snapshots (the append path never
+	// writes them), so every one seen during replay is part of the
+	// durable generation — record it for reconciliation and still
+	// forward it to fn so the owning part adopts its cold history.
+	var refs []ArchiveRef
+	sr, err := e.log.replayDir(func(en Entry) string { return en.Repo }, 1, func(en Entry) error {
+		if en.Op == opArchiveRef {
+			var ref ArchiveRef
+			if jsonErr := json.Unmarshal(en.Data, &ref); jsonErr != nil {
+				return fmt.Errorf("%w: archive ref: %v", ErrCorrupt, jsonErr)
+			}
+			refs = append(refs, ref)
+		}
+		return fn(en)
+	})
+	if err != nil {
+		return err
+	}
+	cfg := e.log.cfg
+	kept, keptBytes, hi, removed, err := reconcileArchives(cfg.Dir, sr.state.archives, refs,
+		cfg.Integrity.Quarantine, sr.quarantined > 0)
+	if err != nil {
+		return err
+	}
+	sr.stats.ArchiveRefs = len(refs)
+	if err := e.log.open(sr); err != nil {
+		return err
+	}
+	e.log.sf.adoptArchives(kept, keptBytes, hi, removed)
+	return nil
+}
+
+// Append implements Engine.
+func (e *journalEngine) Append(entry Entry, onCommit func(uint64)) (uint64, error) {
+	return e.log.append(entry, onCommit)
+}
+
+// Seal implements Engine: rotate the active segment now (a no-op when
+// it is empty). Appends block only for the rename/create itself.
+func (e *journalEngine) Seal() error { return e.log.seal() }
+
+// Fold implements Engine: fix the fold boundary (every segment sealed
+// so far), capture the live image via build — handing it the segment
+// set as Archiver so cold history can be spilled into archive files
+// referenced by the snapshot instead of rewritten into it — write the
+// image to a new snapshot and delete the folded segments. Appends —
+// and further seals — proceed concurrently: the image is captured
+// after the boundary, so it is a superset of everything folded, and
+// replay skips the overlap via the per-bucket boundary seqs stamped on
+// snapshot entries. The image's Commit hook runs only once the
+// snapshot is durably installed; on any fold failure it never runs, so
+// in-memory state keeps covering history the old generation still
+// owns (an archive written by the failed attempt is an orphan the next
+// open removes).
+func (e *journalEngine) Fold(build func(Archiver) FoldImage) error {
+	e.foldMu.Lock()
+	defer e.foldMu.Unlock()
+	covers, hwm, err := e.log.foldBounds()
+	if err != nil {
+		return err
+	}
+	var commit func()
+	err = e.log.sf.fold(covers, hwm, func(sj *Journal) error {
+		if build == nil {
+			return nil
+		}
+		img := build(e.log.sf)
+		commit = img.Commit
+		for _, entry := range img.Entries {
+			if err := sj.writeRaw(entry); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil && commit != nil {
+		commit()
+	}
+	return err
+}
+
+// ReadArchive implements Engine: stream one archive file, lazily and
+// checksum-verified. Archives are immutable and only removed by the
+// open-time reconcile pass, so a concurrent fold never races a reader.
+func (e *journalEngine) ReadArchive(ref ArchiveRef, fn func(Entry) error) error {
+	return readArchive(e.log.cfg.Dir, ref, fn)
+}
+
+// Scrub implements Engine.
+func (e *journalEngine) Scrub(maxBytes int64) ScrubResult { return e.log.scrub(maxBytes) }
+
+// Depth implements Engine: the appenders in flight.
+func (e *journalEngine) Depth() int { return e.log.depth() }
+
+// Stats implements Engine.
+func (e *journalEngine) Stats() EngineStats { return e.log.stats("journal") }
+
+// Close implements Engine: wait out an in-flight fold, then commit
+// everything pending and close the log. Idempotent.
+func (e *journalEngine) Close() error {
+	e.foldMu.Lock()
+	defer e.foldMu.Unlock()
+	return e.log.close()
 }

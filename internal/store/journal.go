@@ -7,13 +7,15 @@
 // concurrent mutations of different resources never contend. Every
 // mutation is journaled through the Store's pluggable Engine before it
 // is applied. The default persistent engine (NewJournalEngine) is a
-// segmented append-only JSONL journal with a group-commit writer: a
-// background goroutine batches concurrent appends into a single write
-// (+ a single fsync in durable mode) and acknowledges each appender
-// through a per-entry done channel — turning N fsyncs into one without
-// giving up the durability contract, since no append is acknowledged
-// before its batch is on disk. An in-memory engine (NewMemoryEngine)
-// backs tests and embedded use.
+// segmented append-only JSONL journal written through the package's
+// one appender (segLog): concurrent appends share a single flush (+ a
+// single fsync in durable mode), and the first appender back from a
+// scheduler yield commits for everyone — turning N fsyncs into one
+// without giving up the durability contract, since no append is
+// acknowledged before its record is on disk. The fsync runs outside
+// the appender lock, so appends keep buffering while a sync is in
+// flight. An in-memory engine (NewMemoryEngine) backs tests and
+// embedded use.
 //
 // # Segments, snapshots, and folding
 //
@@ -162,14 +164,19 @@
 //
 // # Degraded mode: append failures are observed, not hidden
 //
-// The journal is fail-forward: when an append errors (disk full,
-// device gone), the in-memory mutation it framed is not rolled back —
-// the caller gets the error and decides, and the repositories stay
-// internally consistent. What the store adds is observation: every
-// append outcome, success or failure, is reported through
-// Options.OnAppendResult (and InstancesOptions.OnAppendResult for the
-// instance collection). The embedding system feeds these outcomes into
-// a health state machine (internal/resilience) that walks
+// Appender failure is sticky: a failed write, flush or fsync
+// acknowledges none of the records it covered and fails every later
+// append. Repositories and logs apply a mutation only in its onCommit
+// hook, after the record is durable, so a failed append leaves them
+// exactly as replay will rebuild them. The instance collection carries
+// no hooks — the runtime applies an instance mutation itself, around
+// the append — so there the in-memory mutation a failed record framed
+// stays in place (fail-forward) and the caller gets the error. What
+// the store adds is observation: every commit outcome, success or
+// failure, is reported through Options.OnAppendResult; the facade
+// observes instance-journal outcomes at the top of its sink chain.
+// The embedding system feeds these outcomes into a health state
+// machine (internal/resilience) that walks
 // healthy → degraded → read-only on consecutive failures, rejecting
 // new mutations at the API edge with 503 while reads keep serving,
 // and probes the journal until consecutive successes walk it back.
@@ -181,9 +188,8 @@
 // replay keeps decoding with encoding/json.
 //
 // Lifecycle instances have their own collection, Instances: the same
-// entry framing, segment rotation and snapshot folding on a dedicated
-// journal directory, written through a flush-combining appender
-// instead of the group-commit engine (see the Instances doc for why),
+// entry framing, appender, segment rotation and snapshot folding on a
+// dedicated journal directory (see the Instances doc for why),
 // streamed back through the runtime's replay on open — sharded across
 // parallel appliers — and then discarded rather than held in memory.
 package store
@@ -288,9 +294,9 @@ func parseHex32(b []byte) (uint32, bool) {
 }
 
 // Journal is an append-only JSONL file: the write-side primitive the
-// journaled engine builds group commit on. It is not itself
-// goroutine-safe; the engine's single writer goroutine (or its mutex)
-// serializes access.
+// appender (segLog) builds flush-combining on, and the writer of
+// snapshot files. It is not itself goroutine-safe; the appender's
+// mutex (or the single folding goroutine) serializes access.
 type Journal struct {
 	path string
 	f    *os.File
@@ -459,19 +465,6 @@ func appendEntry(buf []byte, e Entry) []byte {
 	return append(buf, '}', '\n')
 }
 
-// Append writes one entry and flushes — the unbatched path, used by
-// tests and one-off writes.
-func (j *Journal) Append(e Entry) (uint64, error) {
-	seq, err := j.writeEntry(e)
-	if err != nil {
-		return 0, err
-	}
-	if err := j.Flush(); err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
 // Flush pushes buffered writes to the OS.
 func (j *Journal) Flush() error {
 	if j.err != nil {
@@ -484,8 +477,8 @@ func (j *Journal) Flush() error {
 	return nil
 }
 
-// Sync fsyncs the journal file — one call per group-commit batch in
-// durable mode.
+// Sync fsyncs the journal file — the seal and fold paths' fsync; the
+// appender's commit fsyncs the file handle directly, outside its lock.
 func (j *Journal) Sync() error {
 	if j.err != nil {
 		return j.err

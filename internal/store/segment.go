@@ -169,6 +169,9 @@ type segReplay struct {
 	// operators can see it happened (IntegrityStats).
 	tornFiles int
 	tornBytes int64
+	// Files the quarantine pre-verify pass found corrupt, and how many
+	// of them it moved aside.
+	quarantined, corrupt int
 }
 
 // replaySegmented streams the directory's journal generation through
@@ -345,11 +348,11 @@ func newSegFiles(dir string, st segState) *segFiles {
 
 // adoptIntegrity seeds the open-time integrity counters from replay and
 // the quarantine pre-verify pass.
-func (sf *segFiles) adoptIntegrity(sr segReplay, quarantined, corrupt int, onCorrupt func(CorruptFile)) {
+func (sf *segFiles) adoptIntegrity(sr segReplay, onCorrupt func(CorruptFile)) {
 	sf.tornTails.Store(uint64(sr.tornFiles))
 	sf.tornTailBytes.Store(sr.tornBytes)
-	sf.corrupt.Store(uint64(corrupt))
-	sf.quarantined.Store(uint64(quarantined))
+	sf.corrupt.Store(uint64(sr.corrupt))
+	sf.quarantined.Store(uint64(sr.quarantined))
 	sf.onCorrupt = onCorrupt
 }
 
@@ -548,10 +551,6 @@ func (f *folder) poke() {
 	default:
 	}
 }
-
-// running reports whether the loop was started (and not stopped) —
-// the owner's gate for scheduling folds at all.
-func (f *folder) running() bool { return f.started.Load() }
 
 // stop terminates the loop and waits for an in-flight fold to finish.
 // Idempotent via the started flag; safe when start never ran.

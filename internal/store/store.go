@@ -41,11 +41,12 @@ type journaled interface {
 // Load once to replay any existing state, then use the store.
 //
 // Concurrency: mutations from different goroutines proceed in
-// parallel — the store read-lock is shared on the commit path, the
-// engine group-commits, and repositories stripe their own locks per
-// shard. Load and Close take the lock exclusively. Compact holds it
-// shared: compaction is seal-then-fold on the segmented journal and
-// runs concurrently with writers (see the package doc).
+// parallel — the store read-lock is shared on the commit path,
+// concurrent appends share the engine's commits, and repositories
+// stripe their own locks per shard. Load and Close take the lock
+// exclusively. Compact holds it shared: compaction is seal-then-fold
+// on the segmented journal and runs concurrently with writers (see
+// the package doc).
 type Store struct {
 	mu         sync.RWMutex
 	engine     Engine
@@ -78,27 +79,17 @@ type Store struct {
 	retryMu    sync.Mutex
 	retry      *time.Timer
 	retryArmed bool
-
-	// Background scrubber (Options.Integrity.ScrubInterval); started by
-	// Load, stopped by Close.
-	scrubInterval time.Duration
-	scrubBudget   int64
-	stopScrub     func()
 }
 
 // Options configure a Store.
 type Options struct {
-	// Sync makes the engine fsync every group-commit batch: durable,
-	// and far cheaper than per-append fsync under concurrency.
+	// Sync makes the engine fsync every commit: durable, and far
+	// cheaper than per-append fsync under concurrency, since concurrent
+	// appends share one commit.
 	Sync bool
 	// Shards is the repository lock-stripe count (default
 	// DefaultShards, minimum 1). More shards, less contention.
 	Shards int
-	// FlushInterval is how long the group-commit writer waits to grow
-	// a batch. 0 = opportunistic (commit whatever is queued).
-	FlushInterval time.Duration
-	// FlushBatch caps journal entries per group-commit batch.
-	FlushBatch int
 	// SegmentMaxBytes rotates the journal's active segment once it
 	// grows past this size; sealed segments are folded into a snapshot
 	// by a background folder so restart replay stays bounded. 0
@@ -224,7 +215,7 @@ func New(engine Engine, opts Options) *Store {
 }
 
 // Open creates a persistent store rooted at dir (created if missing),
-// backed by the group-commit journal engine. With SegmentMaxBytes set
+// backed by the journal engine. With SegmentMaxBytes set
 // the journal rotates and a background folder compacts sealed segments
 // into snapshots without excluding writers.
 func Open(dir string, opts Options) (*Store, error) {
@@ -232,19 +223,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	engine, err := NewJournalEngine(JournalConfig{
 		Dir:             dir,
 		Sync:            opts.Sync,
-		FlushInterval:   opts.FlushInterval,
-		FlushBatch:      opts.FlushBatch,
 		SegmentMaxBytes: opts.SegmentMaxBytes,
 		SnapshotEvery:   opts.SnapshotEvery,
-		OnSeal:          s.scheduleFold,
+		OnSeal:          s.folds.poke,
 		Integrity:       opts.Integrity,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.engine = engine
-	s.scrubInterval = opts.Integrity.ScrubInterval
-	s.scrubBudget = opts.Integrity.ScrubBytesPerTick
 	return s, nil
 }
 
@@ -344,9 +331,6 @@ func (s *Store) LoadParallel(workers int) error {
 	// journal keeps growing until a later fold succeeds, so no data is
 	// ever at risk.
 	s.folds.start(func() { s.fold(false) })
-	if s.scrubInterval > 0 {
-		s.stopScrub = scrubLoop(s.scrubInterval, s.scrubBudget, s.engine.Scrub)
-	}
 	return nil
 }
 
@@ -362,14 +346,11 @@ func (s *Store) Scrub(maxBytes int64) ScrubResult {
 	return s.engine.Scrub(maxBytes)
 }
 
-// scheduleFold pokes the background folder — the engine's OnSeal hook.
-func (s *Store) scheduleFold() { s.folds.poke() }
-
 // commit journals an entry; the engine applies the in-memory mutation
 // via the onCommit hook, in journal order, before acknowledging. The
 // shared read-lock keeps commits concurrent with each other (that
-// concurrency is what feeds the engine's group commit) while excluding
-// Load and Close.
+// concurrency is what lets appends share the engine's commits) while
+// excluding Load and Close.
 func (s *Store) commit(e Entry, apply func(seq uint64)) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -387,7 +368,7 @@ func (s *Store) commit(e Entry, apply func(seq uint64)) error {
 	return err
 }
 
-// QueueDepth is the engine's current commit-queue occupancy — the
+// QueueDepth is the number of appends in flight on the engine — the
 // saturation signal admission control samples per mutating request.
 func (s *Store) QueueDepth() int { return s.engine.Depth() }
 
@@ -562,7 +543,7 @@ func (s *Store) PurgeReadCaches() {
 	}
 }
 
-// Close drains and closes the engine. Idempotent.
+// Close commits what is pending and closes the engine. Idempotent.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -576,9 +557,6 @@ func (s *Store) Close() error {
 		s.retry.Stop()
 	}
 	s.retryMu.Unlock()
-	if s.stopScrub != nil {
-		s.stopScrub()
-	}
 	s.folds.stop()
 	return s.engine.Close()
 }

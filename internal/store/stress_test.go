@@ -9,7 +9,7 @@ import (
 )
 
 // TestConcurrentShardedStress hammers sharded Put/Get/Delete, the log,
-// and the read paths from many goroutines at once over the group-commit
+// and the read paths from many goroutines at once over the journal
 // engine. Run under -race this is the data tier's concurrency proof.
 // Each goroutine owns a disjoint key space so the final state is
 // deterministic and can be checked against a replay.
@@ -173,7 +173,7 @@ func TestConcurrentLogAppend(t *testing.T) {
 	}
 }
 
-// TestTornBatchTailRecovered simulates a crash that cuts a group-commit
+// TestTornBatchTailRecovered simulates a crash that cuts a committed
 // batch short: the journal ends with some complete lines of the batch
 // followed by a torn partial line. Recovery must keep every complete
 // record, drop the torn tail silently, and leave the store writable.
@@ -251,7 +251,7 @@ func TestTornBatchTailRecovered(t *testing.T) {
 }
 
 // TestGroupCommitBatchesAndAcks drives enough concurrency at the
-// engine that group commit actually forms batches, and checks every
+// engine that concurrent appends actually share commits, and checks every
 // appender is acknowledged with a consistent stats picture.
 func TestGroupCommitBatchesAndAcks(t *testing.T) {
 	const writers, perWriter = 8, 20
