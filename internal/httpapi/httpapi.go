@@ -374,6 +374,9 @@ func statusFor(err error) int {
 		return http.StatusForbidden
 	case errors.Is(err, runtime.ErrUnknownPhase), errors.Is(err, runtime.ErrNoPending):
 		return http.StatusConflict
+	case errors.Is(err, runtime.ErrJournal):
+		// The append failed before anything applied: safe to retry.
+		return http.StatusServiceUnavailable
 	case core.IsValidation(err):
 		return http.StatusUnprocessableEntity
 	}

@@ -148,6 +148,19 @@ func (f *failSink) Record(*runtime.JournalRecord) error {
 	return errors.New("injected: disk gone")
 }
 
+// tripJournal advances id against an armed failSink and expects the
+// journal fault as a retryable 503 "unavailable".
+func tripJournal(t *testing.T, e *env, id string) {
+	t.Helper()
+	var body struct {
+		Code string `json:"code"`
+	}
+	if code := e.call(t, "POST", "/api/v1/instances/"+id+"/advance", "owner",
+		map[string]any{"to": "elaboration"}, &body); code != http.StatusServiceUnavailable || body.Code != "unavailable" {
+		t.Fatalf("tripping advance: status %d code %q, want 503 unavailable (journal error surfaced)", code, body.Code)
+	}
+}
+
 func TestReadOnlyModeRejectsWith503(t *testing.T) {
 	sink := &failSink{}
 	e := newResilienceEnv(t, gelee.ResilienceOptions{
@@ -156,14 +169,11 @@ func TestReadOnlyModeRejectsWith503(t *testing.T) {
 	})
 	id := seedInstance(t, e)
 
-	// Break the disk, then advance: fail-forward journal semantics keep
-	// the mutation in memory but surface the append error, and the
-	// health machine trips read-only behind it.
+	// Break the disk, then advance: the append fails before anything
+	// applies, so the move did not happen and the caller is told to
+	// retry; the health machine trips read-only behind it.
 	sink.armed.Store(true)
-	if code := e.call(t, "POST", "/api/v1/instances/"+id+"/advance", "owner",
-		map[string]any{"to": "elaboration"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("tripping advance: status %d, want 400 (journal error surfaced)", code)
-	}
+	tripJournal(t, e, id)
 
 	// Now read-only: the next mutation gets a structured 503.
 	resp, err := http.Post(e.srv.URL+"/api/v1/instances/"+id+"/advance", "application/json",
@@ -213,10 +223,7 @@ func TestSOAPAdvanceGated(t *testing.T) {
 	})
 	id := seedInstance(t, e)
 	sink.armed.Store(true)
-	if code := e.call(t, "POST", "/api/v1/instances/"+id+"/advance", "owner",
-		map[string]any{"to": "elaboration"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("tripping advance: status %d, want 400 (journal error surfaced)", code)
-	}
+	tripJournal(t, e, id)
 
 	envl := `<?xml version="1.0"?><Envelope><Body><advance xmlns="urn:gelee:lifecycle">` +
 		`<instanceId>` + id + `</instanceId><to>internalreview</to><actor>owner</actor></advance></Body></Envelope>`

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"github.com/liquidpub/gelee/internal/actionlib"
 	"github.com/liquidpub/gelee/internal/core"
@@ -65,139 +66,106 @@ func (r *Runtime) AdvanceSummary(instID, toPhase, actor string, opts AdvanceOpti
 }
 
 // advance is the shared token-move core. project runs under the
-// instance lock after all mutation, with the events this call appended
-// (in seq order, already value copies safe to retain).
+// instance lock after the move applied, with the events this call
+// appended (in seq order, already value copies safe to retain).
 func (r *Runtime) advance(instID, toPhase, actor string, opts AdvanceOptions, project func(*instance, []Event)) error {
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
+	var invs []actionlib.Invocation
+	err := r.mutateID(instID, func(in *instance) (rec *JournalRecord, err error) {
+		rec, invs, err = r.prepareAdvance(in, toPhase, actor, opts)
+		return rec, err
+	}, project)
+	if err != nil {
+		return err
 	}
-	in.mu.Lock()
+	r.launch(instID, invs)
+	return nil
+}
+
+// prepareAdvance builds the record of a token move — the events, the
+// post-move token state and the executions of the entered phase's
+// actions — and the invocations to launch once it applied. Callers hold
+// in.mu; nothing is written to the instance.
+func (r *Runtime) prepareAdvance(in *instance, toPhase, actor string, opts AdvanceOptions) (*JournalRecord, []actionlib.Invocation, error) {
 	target, ok := in.model.Phase(toPhase)
 	if !ok {
-		in.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownPhase, toPhase)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPhase, toPhase)
 	}
-
-	from := in.current
-	fromNode := from
+	fromNode := in.current
 	if fromNode == "" {
 		fromNode = core.Begin
 	}
 	suggested := in.model.Suggests(fromNode, toPhase)
 	if suggested {
-		if !r.policy.CanFollow(actor, instID, toPhase) {
-			in.mu.Unlock()
-			return fmt.Errorf("%w: %s may not follow %s -> %s on %s",
-				ErrForbidden, actor, fromNode, toPhase, instID)
+		if !r.policy.CanFollow(actor, in.id, toPhase) {
+			return nil, nil, fmt.Errorf("%w: %s may not follow %s -> %s on %s",
+				ErrForbidden, actor, fromNode, toPhase, in.id)
 		}
-	} else if !r.policy.CanDrive(actor, instID) {
-		in.mu.Unlock()
-		return fmt.Errorf("%w: %s may not deviate to %s on %s (instance owner required)",
-			ErrForbidden, actor, toPhase, instID)
+	} else if !r.policy.CanDrive(actor, in.id) {
+		return nil, nil, fmt.Errorf("%w: %s may not deviate to %s on %s (instance owner required)",
+			ErrForbidden, actor, toPhase, in.id)
 	}
-
-	// Validate call-stage bindings for the target phase's actions before
-	// mutating anything.
+	// Validate call-stage bindings for the target phase's actions.
 	for _, call := range target.Actions {
-		vals := opts.CallBindings[call.URI]
-		if len(vals) == 0 {
-			continue
-		}
-		if err := actionlib.CheckStageBindings(r.specFor(call.URI), call, vals, actionlib.StageCall); err != nil {
-			in.mu.Unlock()
-			return err
+		if vals := opts.CallBindings[call.URI]; len(vals) > 0 {
+			if err := actionlib.CheckStageBindings(r.specFor(call.URI), call, vals, actionlib.StageCall); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 
-	// appended collects every event this call records, in seq order —
-	// both the observer feed and the MoveResult projection.
-	var appended []Event
-
-	if in.state == StateCompleted {
-		in.state = StateActive
-		appended = append(appended, r.record(in, Event{Kind: EventReopened, Actor: actor, Phase: toPhase,
-			Detail: "token moved out of a final phase"}))
-	}
-
-	// The deviation counter is maintained by the shared event applier
-	// (applyRecorded) off the event's Deviation flag, so live mutation
-	// and journal replay count identically.
-	in.current = toPhase
-	appended = append(appended, r.record(in, Event{
-		Kind: EventPhaseEntered, Actor: actor,
-		Phase: toPhase, FromPhase: from,
-		Detail: opts.Annotation, Deviation: !suggested,
-	}))
-
-	var dispatches []dispatchItem
+	// One event for the entry, plus a reopening, and either a
+	// completion or one per action.
+	n := 1 + len(target.Actions)
 	if target.Final {
-		in.state = StateCompleted
-		in.completedAt = r.clock.Now()
-		appended = append(appended, r.record(in, Event{Kind: EventCompleted, Actor: actor, Phase: toPhase}))
-	} else {
-		dispatches = r.prepareDispatches(in, target, opts.CallBindings)
-		for _, d := range dispatches {
-			appended = append(appended, d.startEv)
-		}
+		n = 2
 	}
-
-	rec := &JournalRecord{Op: RecAdvance, Instance: instID, To: toPhase, Events: appended}
-	rec.mirrorState(in)
-	for _, d := range dispatches {
-		rec.Executions = append(rec.Executions, *in.executions[d.startEv.Invocation])
+	if in.state == StateCompleted {
+		n++
 	}
-	if err := r.journalLocked(rec); err != nil {
-		// Fail-forward: the in-memory move stands, but the un-journaled
-		// mutation is not observed and its actions are not dispatched.
-		in.mu.Unlock()
-		return err
+	now := r.clock.Now()
+	rec := &JournalRecord{Op: RecAdvance, Instance: in.id, To: toPhase,
+		State: StateActive, Current: toPhase, CompletedAt: in.completedAt,
+		Events: make([]Event, 0, n)}
+	if in.state == StateCompleted {
+		rec.stage(in, now, Event{Kind: EventReopened, Actor: actor, Phase: toPhase,
+			Detail: "token moved out of a final phase"})
 	}
-	project(in, appended)
-	in.mu.Unlock()
-
-	for _, ev := range appended {
-		r.observe(instID, ev)
+	// The deviation counter is maintained by the shared event applier
+	// (applyRecorded) off the event's Deviation flag.
+	rec.stage(in, now, Event{
+		Kind: EventPhaseEntered, Actor: actor,
+		Phase: toPhase, FromPhase: in.current,
+		Detail: opts.Annotation, Deviation: !suggested,
+	})
+	if target.Final {
+		rec.State, rec.CompletedAt = StateCompleted, now
+		rec.stage(in, now, Event{Kind: EventCompleted, Actor: actor, Phase: toPhase})
+		return rec, nil, nil
 	}
-	r.launch(instID, dispatches)
-	return nil
-}
-
-// dispatchItem pairs a ready invocation with its start event; failed
-// preparations carry err instead.
-type dispatchItem struct {
-	inv     actionlib.Invocation
-	startEv Event
-	prepErr error
+	return rec, r.prepareDispatches(in, rec, now, target, opts.CallBindings), nil
 }
 
 // prepareDispatches resolves implementations and parameters for every
-// action of the entered phase. Callers hold in.mu (the invocation
-// index stripe is locked inside, per the package lock order).
-// Preparation failures (no implementation, binding errors) become
-// terminal failed executions immediately; successful preparations are
-// launched by launch().
-func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBindings map[string]map[string]string) []dispatchItem {
-	var items []dispatchItem
+// action of the entered phase, adding one execution and its start (or
+// failure) event per action to rec. Callers hold in.mu. Preparation
+// failures (no implementation, binding errors) become executions that
+// are terminal and failed from birth; the returned invocations are the
+// successful preparations, for launch() once the record applied.
+func (r *Runtime) prepareDispatches(in *instance, rec *JournalRecord, now time.Time, phase *core.Phase, callBindings map[string]map[string]string) []actionlib.Invocation {
+	if len(phase.Actions) == 0 {
+		return nil
+	}
+	rec.Executions = make([]ActionExecution, 0, len(phase.Actions))
+	invs := make([]actionlib.Invocation, 0, len(phase.Actions))
 	for _, call := range phase.Actions {
 		invID := fmt.Sprintf("inv-%06d", r.nextInv.Add(1))
-		exec := &ActionExecution{
+		exec := ActionExecution{
 			InvocationID: invID,
 			ActionURI:    call.URI,
 			ActionName:   call.Name,
 			Phase:        phase.ID,
-			StartedAt:    r.clock.Now(),
+			StartedAt:    now,
 		}
-		in.executions[invID] = exec
-		in.execOrder = append(in.execOrder, invID)
-		ish := r.invShardFor(invID)
-		ish.mu.Lock()
-		ish.m[invID] = in
-		if r.cfg.InvocationRetention > 0 {
-			r.sweepInvShardLocked(ish, r.clock.Now())
-		}
-		ish.mu.Unlock()
-
 		impl, err := r.cfg.Registry.Resolve(call.URI, in.res.Type)
 		var params map[string]string
 		if err == nil {
@@ -212,21 +180,21 @@ func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBinding
 			exec.Terminal = true
 			exec.LastStatus = actionlib.StatusFailed
 			exec.LastDetail = err.Error()
-			in.failedSteps++
-			r.invRetire(invID) // terminal from birth: GC clock starts now
-			ev := r.record(in, Event{Kind: EventActionStatus, Phase: phase.ID,
+			rec.Executions = append(rec.Executions, exec)
+			rec.stage(in, now, Event{Kind: EventActionStatus, Phase: phase.ID,
 				ActionURI: call.URI, Invocation: invID,
 				Status: actionlib.StatusFailed, Detail: err.Error()})
-			items = append(items, dispatchItem{startEv: ev, prepErr: err})
 			continue
 		}
-		in.pendingInvs++
+		rec.Executions = append(rec.Executions, exec)
+		rec.stage(in, now, Event{Kind: EventActionStarted, Phase: phase.ID,
+			ActionURI: call.URI, Invocation: invID, Detail: call.Name})
 
 		callback := r.cfg.CallbackBase
 		if callback == "" {
 			callback = "callback:/" // local scheme for embedded use
 		}
-		inv := actionlib.Invocation{
+		invs = append(invs, actionlib.Invocation{
 			ID:           invID,
 			TypeURI:      call.URI,
 			ActionName:   call.Name,
@@ -237,24 +205,17 @@ func (r *Runtime) prepareDispatches(in *instance, phase *core.Phase, callBinding
 			CallbackURI:  callback + "/" + invID,
 			Params:       params,
 			Credentials:  in.res.Credentials,
-		}
-		ev := r.record(in, Event{Kind: EventActionStarted, Phase: phase.ID,
-			ActionURI: call.URI, Invocation: invID, Detail: call.Name})
-		items = append(items, dispatchItem{inv: inv, startEv: ev})
+		})
 	}
-	return items
+	return invs
 }
 
 // launch hands prepared invocations to the invoker — in parallel
 // goroutines by default ("all actions associated to a phase are executed
 // in parallel and anyway in a non-deterministic order", §IV.A), inline
 // when Config.SyncActions is set.
-func (r *Runtime) launch(instID string, items []dispatchItem) {
-	for _, d := range items {
-		if d.prepErr != nil {
-			continue
-		}
-		inv := d.inv
+func (r *Runtime) launch(instID string, invs []actionlib.Invocation) {
+	for _, inv := range invs {
 		if r.cfg.SyncActions {
 			if err := r.invoke(inv); err != nil {
 				r.failDispatch(instID, inv.ID, err)
@@ -285,38 +246,19 @@ func (r *Runtime) invoke(inv actionlib.Invocation) error {
 // failDispatch marks an invocation failed when the invoker itself
 // errored (endpoint unreachable, etc.).
 func (r *Runtime) failDispatch(instID, invID string, err error) {
-	in, ok := r.lookup(instID)
-	if !ok {
-		return
-	}
-	in.mu.Lock()
-	exec, ok := in.executions[invID]
-	if !ok || exec.Terminal {
-		in.mu.Unlock()
-		return
-	}
-	exec.DispatchErr = err.Error()
-	exec.Terminal = true
-	exec.LastStatus = actionlib.StatusFailed
-	exec.LastDetail = err.Error()
-	in.pendingInvs--
-	in.failedSteps++
-	ev := r.record(in, Event{Kind: EventActionStatus, Phase: exec.Phase,
-		ActionURI: exec.ActionURI, Invocation: invID,
-		Status: actionlib.StatusFailed, Detail: err.Error()})
-	jerr := r.journalLocked(&JournalRecord{
-		Op: RecDispatchFail, Instance: instID, Invocation: invID,
-		Detail: err.Error(), Events: []Event{ev},
-	})
-	in.mu.Unlock()
-	// The execution is terminal in memory either way, so its index
-	// entry must start its GC grace window even when the journal append
-	// failed (fail-forward suppresses only observer delivery).
-	r.invRetire(invID)
-	if jerr != nil {
-		return
-	}
-	r.observe(instID, ev)
+	// A refused record leaves the execution pending, as it stands in the
+	// journal; the dispatcher has no caller to report that to.
+	_ = r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		exec, ok := in.executions[invID]
+		if !ok || exec.Terminal {
+			return nil, nil
+		}
+		rec := &JournalRecord{Op: RecDispatchFail, Instance: instID, Invocation: invID, Detail: err.Error()}
+		rec.stage(in, r.clock.Now(), Event{Kind: EventActionStatus, Phase: exec.Phase,
+			ActionURI: exec.ActionURI, Invocation: invID,
+			Status: actionlib.StatusFailed, Detail: err.Error()})
+		return rec, nil
+	}, nil)
 }
 
 // Report delivers a status message from an action implementation — the
@@ -325,7 +267,8 @@ func (r *Runtime) failDispatch(instID, invID string, err error) {
 // Updates for already-terminal executions are ignored (late duplicate
 // callbacks are expected in a distributed setting). Routing goes
 // through the sharded invocation index straight to the owning
-// instance: no scan, no other instance's lock.
+// instance: no scan, no other instance's lock. An ErrJournal failure
+// leaves the execution as it was, so the callback may be retried.
 func (r *Runtime) Report(up actionlib.StatusUpdate) error {
 	ish := r.invShardFor(up.InvocationID)
 	ish.mu.RLock()
@@ -334,41 +277,16 @@ func (r *Runtime) Report(up actionlib.StatusUpdate) error {
 	if !ok {
 		return fmt.Errorf("%w: invocation %s", ErrNotFound, up.InvocationID)
 	}
-	in.mu.Lock()
-	exec := in.executions[up.InvocationID]
-	if exec.Terminal {
-		in.mu.Unlock()
-		return nil
-	}
-	exec.LastStatus = up.Message
-	exec.LastDetail = up.Detail
-	exec.Updates++
-	if up.Terminal() {
-		exec.Terminal = true
-		in.pendingInvs--
-		if up.Message == actionlib.StatusFailed {
-			in.failedSteps++
+	return r.mutate(in, func(in *instance) (*JournalRecord, error) {
+		exec := in.executions[up.InvocationID]
+		if exec.Terminal {
+			return nil, nil
 		}
-	}
-	ev := r.record(in, Event{Kind: EventActionStatus, Phase: exec.Phase,
-		ActionURI: exec.ActionURI, Invocation: up.InvocationID,
-		Status: up.Message, Detail: up.Detail})
-	instID := in.id
-	jerr := r.journalLocked(&JournalRecord{
-		Op: RecReport, Instance: instID, Invocation: up.InvocationID,
-		Status: up.Message, Detail: up.Detail, Terminal: up.Terminal(),
-		Events: []Event{ev},
-	})
-	in.mu.Unlock()
-	if up.Terminal() {
-		// Terminal in memory even on a journal error: the index entry's
-		// GC grace window starts now regardless (fail-forward suppresses
-		// only observer delivery).
-		r.invRetire(up.InvocationID)
-	}
-	if jerr != nil {
-		return jerr
-	}
-	r.observe(instID, ev)
-	return nil
+		rec := &JournalRecord{Op: RecReport, Instance: in.id, Invocation: up.InvocationID,
+			Status: up.Message, Detail: up.Detail, Terminal: up.Terminal()}
+		rec.stage(in, r.clock.Now(), Event{Kind: EventActionStatus, Phase: exec.Phase,
+			ActionURI: exec.ActionURI, Invocation: up.InvocationID,
+			Status: up.Message, Detail: up.Detail})
+		return rec, nil
+	}, nil)
 }

@@ -21,37 +21,18 @@ func (r *Runtime) ProposeChange(instID, proposer string, newModel *core.Model, n
 	if err := newModel.Validate(); err != nil {
 		return err
 	}
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
-	}
-	in.mu.Lock()
-	diff := core.DiffModels(in.model, newModel)
-	replaced := in.pending != nil
-	in.pending = &ChangeProposal{
-		ProposedBy: proposer,
-		ProposedAt: r.clock.Now(),
-		Note:       note,
-		NewModel:   newModel.Clone(),
-		Summary:    diff.String(),
-	}
-	detail := diff.String()
-	if replaced {
-		detail += " (replaces an undecided proposal)"
-	}
-	ev := r.record(in, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
-	if err := r.journalLocked(&JournalRecord{
-		Op: RecPropose, Instance: instID,
-		Proposer: proposer, ProposedAt: in.pending.ProposedAt, Note: note,
-		Model: in.pending.NewModel, DiffSummary: in.pending.Summary,
-		Events: []Event{ev},
-	}); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	in.mu.Unlock()
-	r.observe(instID, ev)
-	return nil
+	return r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		diff := core.DiffModels(in.model, newModel).String()
+		detail := diff
+		if in.pending != nil {
+			detail += " (replaces an undecided proposal)"
+		}
+		rec := &JournalRecord{Op: RecPropose, Instance: instID,
+			Proposer: proposer, ProposedAt: r.clock.Now(), Note: note,
+			Model: newModel.Clone(), DiffSummary: diff}
+		rec.stage(in, rec.ProposedAt, Event{Kind: EventChangeProposed, Actor: proposer, Detail: detail, Phase: in.current})
+		return rec, nil
+	}, nil)
 }
 
 // AcceptChange applies the pending proposal. landing names the phase the
@@ -84,116 +65,74 @@ func (r *Runtime) AcceptChangeSummary(instID, actor, landing string) (MoveResult
 // acceptChange is the shared migration entry point; project runs under
 // the instance lock after a successful apply, with the appended events.
 func (r *Runtime) acceptChange(instID, actor, landing string, project func(*instance, []Event)) error {
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
-	}
-	if !r.policy.CanDrive(actor, instID) {
-		return fmt.Errorf("%w: %s may not migrate %s", ErrForbidden, actor, instID)
-	}
-	in.mu.Lock()
-	evs, err := r.applyPendingLocked(in, actor, landing)
-	if err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	rec := &JournalRecord{Op: RecAccept, Instance: instID, Landing: landing, Events: evs}
-	rec.mirrorState(in)
-	if err := r.journalLocked(rec); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	project(in, evs)
-	in.mu.Unlock()
-	for _, ev := range evs {
-		r.observe(instID, ev)
-	}
-	return nil
+	return r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		if !r.policy.CanDrive(actor, instID) {
+			return nil, fmt.Errorf("%w: %s may not migrate %s", ErrForbidden, actor, instID)
+		}
+		if in.pending == nil {
+			return nil, fmt.Errorf("%w on %s", ErrNoPending, instID)
+		}
+		rec := &JournalRecord{Op: RecAccept, Instance: instID, Landing: landing}
+		return rec, r.prepareMigration(in, rec, actor, in.pending.NewModel, in.pending.Summary)
+	}, project)
 }
 
-// applyPendingLocked applies the instance's pending proposal — the
-// shared migration core of AcceptChange and SwitchModel. Callers hold
-// in.mu. On error nothing is mutated. The returned events are recorded
-// in history; callers deliver them to the observer after unlocking, in
-// order.
-func (r *Runtime) applyPendingLocked(in *instance, actor, landing string) ([]Event, error) {
-	if in.pending == nil {
-		return nil, fmt.Errorf("%w on %s", ErrNoPending, in.id)
-	}
-	newModel := in.pending.NewModel
-	target := landing
+// prepareMigration stages the token placement of a model change — the
+// shared core of AcceptChange and SwitchModel. It resolves the landing
+// phase in model, stages the change-applied event and any completion or
+// re-opening after it (so history seq order matches observer order and
+// MoveResult.Events stays contiguous), and mirrors the post-migration
+// token state into rec. Callers hold in.mu; nothing is written to the
+// instance.
+func (r *Runtime) prepareMigration(in *instance, rec *JournalRecord, actor string, model *core.Model, summary string) error {
+	target := rec.Landing
 	if target == "" {
 		target = in.current
 	}
-	if target != "" {
-		if _, ok := newModel.Phase(target); !ok {
-			return nil, fmt.Errorf("%w: %q does not exist in the proposed model (current phase was removed — choose a landing phase)",
-				ErrUnknownPhase, target)
-		}
-	}
-
-	summary := in.pending.Summary
-	in.model = newModel.Clone()
-	in.mcache = buildModelCache(in.model)
-	in.current = target
-	in.pending = nil
-
-	detail := summary
-	if landing != "" {
-		detail += fmt.Sprintf("; landed on %q", landing)
-	}
-	evs := []Event{r.record(in, Event{Kind: EventChangeApplied, Actor: actor, Phase: in.current, Detail: detail})}
-
-	// Recompute completion from the landing position. Recorded after the
-	// change-applied event so history seq order matches observer order
-	// (and MoveResult.Events stays contiguous in seq order).
-	wasCompleted := in.state == StateCompleted
 	isFinal := false
 	if target != "" {
-		if p, ok := in.model.Phase(target); ok && p.Final {
-			isFinal = true
+		p, ok := model.Phase(target)
+		if !ok {
+			return fmt.Errorf("%w: %q does not exist in the proposed model (current phase was removed — choose a landing phase)",
+				ErrUnknownPhase, target)
 		}
+		isFinal = p.Final
 	}
-	switch {
+	detail := summary
+	if rec.Landing != "" {
+		detail += fmt.Sprintf("; landed on %q", rec.Landing)
+	}
+	now := r.clock.Now()
+	rec.State, rec.Current, rec.CompletedAt = in.state, target, in.completedAt
+	rec.stage(in, now, Event{Kind: EventChangeApplied, Actor: actor, Phase: target, Detail: detail})
+	switch wasCompleted := in.state == StateCompleted; {
 	case isFinal && !wasCompleted:
-		in.state = StateCompleted
-		in.completedAt = r.clock.Now()
-		evs = append(evs, r.record(in, Event{Kind: EventCompleted, Actor: actor, Phase: target,
-			Detail: "completed by migration"}))
+		rec.State, rec.CompletedAt = StateCompleted, now
+		rec.stage(in, now, Event{Kind: EventCompleted, Actor: actor, Phase: target,
+			Detail: "completed by migration"})
 	case !isFinal && wasCompleted:
-		in.state = StateActive
-		evs = append(evs, r.record(in, Event{Kind: EventReopened, Actor: actor, Phase: target,
-			Detail: "re-opened by migration"}))
+		rec.State = StateActive
+		rec.stage(in, now, Event{Kind: EventReopened, Actor: actor, Phase: target,
+			Detail: "re-opened by migration"})
 	}
-	return evs, nil
+	return nil
 }
 
 // RejectChange discards the pending proposal; the instance keeps its
 // current model (owners "can accept or reject the change").
 func (r *Runtime) RejectChange(instID, actor, note string) error {
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
-	}
-	if !r.policy.CanDrive(actor, instID) {
-		return fmt.Errorf("%w: %s may not decide for %s", ErrForbidden, actor, instID)
-	}
-	in.mu.Lock()
-	if in.pending == nil {
-		in.mu.Unlock()
-		return fmt.Errorf("%w on %s", ErrNoPending, instID)
-	}
-	summary := in.pending.Summary
-	in.pending = nil
-	ev := r.record(in, Event{Kind: EventChangeRejected, Actor: actor, Phase: in.current,
-		Detail: summary + noteSuffix(note)})
-	if err := r.journalLocked(&JournalRecord{Op: RecReject, Instance: instID, Events: []Event{ev}}); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	in.mu.Unlock()
-	r.observe(instID, ev)
-	return nil
+	return r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		if !r.policy.CanDrive(actor, instID) {
+			return nil, fmt.Errorf("%w: %s may not decide for %s", ErrForbidden, actor, instID)
+		}
+		if in.pending == nil {
+			return nil, fmt.Errorf("%w on %s", ErrNoPending, instID)
+		}
+		rec := &JournalRecord{Op: RecReject, Instance: instID}
+		rec.stage(in, r.clock.Now(), Event{Kind: EventChangeRejected, Actor: actor, Phase: in.current,
+			Detail: in.pending.Summary + noteSuffix(note)})
+		return rec, nil
+	}, nil)
 }
 
 func noteSuffix(note string) string {
@@ -235,53 +174,16 @@ func (r *Runtime) switchModel(instID, actor string, newModel *core.Model, landin
 	if err := newModel.Validate(); err != nil {
 		return err
 	}
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
-	}
-	if !r.policy.CanDrive(actor, instID) {
-		return fmt.Errorf("%w: %s may not switch the model of %s", ErrForbidden, actor, instID)
-	}
-	// Install-and-apply happens in one critical section so a failed or
-	// raced switch can neither leave its proposal dangling for a later
-	// AcceptChange nor desynchronize provenance from the model index.
-	in.mu.Lock()
-	prevPending := in.pending
-	in.pending = &ChangeProposal{
-		ProposedBy: actor,
-		ProposedAt: r.clock.Now(),
-		NewModel:   newModel.Clone(),
-		Summary:    core.DiffModels(in.model, newModel).String(),
-		Note:       "owner-initiated model switch",
-	}
-	evs, err := r.applyPendingLocked(in, actor, landing)
-	if err != nil {
-		in.pending = prevPending
-		in.mu.Unlock()
-		return err
-	}
-	// The switch applied: move the provenance pointer and keep the
-	// model index in step (index stripes are taken under the instance
-	// lock, per the package lock order).
-	if old := in.modelURI; old != newModel.URI {
-		in.modelURI = newModel.URI
-		r.byModel.remove(old, in)
-		r.byModel.add(newModel.URI, in)
-	}
-	rec := &JournalRecord{
-		Op: RecSwitch, Instance: instID, Landing: landing,
-		Proposer: actor, Model: in.model, ModelURI: in.modelURI,
-		Events: evs,
-	}
-	rec.mirrorState(in)
-	if err := r.journalLocked(rec); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	project(in, evs)
-	in.mu.Unlock()
-	for _, ev := range evs {
-		r.observe(instID, ev)
-	}
-	return nil
+	return r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		if !r.policy.CanDrive(actor, instID) {
+			return nil, fmt.Errorf("%w: %s may not switch the model of %s", ErrForbidden, actor, instID)
+		}
+		rec := &JournalRecord{Op: RecSwitch, Instance: instID, Landing: landing,
+			Proposer: actor, ModelURI: newModel.URI}
+		if err := r.prepareMigration(in, rec, actor, newModel, core.DiffModels(in.model, newModel).String()); err != nil {
+			return nil, err
+		}
+		rec.Model = newModel.Clone()
+		return rec, nil
+	}, project)
 }

@@ -191,8 +191,7 @@ func buildModelCache(m *core.Model) modelCache {
 	return c
 }
 
-// snapshot deep-copies the observable state; callers hold in.mu (or
-// own the instance exclusively, as Instantiate does pre-publication).
+// snapshot deep-copies the observable state; callers hold in.mu.
 func (in *instance) snapshot() Snapshot {
 	s := Snapshot{
 		ID:          in.id,

@@ -2,15 +2,17 @@ package runtime
 
 // The persistence seam of the runtime. Every instance mutation —
 // instantiate, advance, annotate, bind, report, dispatch failure,
-// change propose/accept/reject, model switch — emits one typed
-// JournalRecord through the Config.Journal sink while the mutated
-// instance's lock is still held, so the journal's per-instance record
-// order is exactly the mutation order a live reader could observe.
-// Replaying the records through ApplyJournal (then FinishRecovery)
-// rebuilds the full runtime state: token positions, event histories,
-// executions, pending proposals, the secondary indexes and every
-// incrementally maintained counter. See the package doc's "Durability
-// model" section for the contract.
+// change propose/accept/reject, model switch — is journal-before-apply:
+// the verb builds one typed JournalRecord under the instance lock
+// without touching the instance, appends it through the Config.Journal
+// sink, and only then applies it through the same per-op applier that
+// ApplyJournal uses on recovery. The journal's per-instance record
+// order is therefore exactly the mutation order a live reader could
+// observe, and replaying the records (then FinishRecovery) rebuilds the
+// full runtime state — token positions, event histories, executions,
+// pending proposals, the secondary indexes and every incrementally
+// maintained counter — because it runs the very code that built it.
+// See the package doc's "Durability model" section for the contract.
 
 import (
 	"encoding/json"
@@ -26,10 +28,11 @@ import (
 )
 
 // Journal is the persistence sink for instance mutation records. The
-// runtime calls Record once per committed mutation, while holding the
-// mutated instance's lock; Record must block until the record is
-// durable at the sink's level (a nil error is the durability ack) and
-// must never call back into the Runtime. Implementations must be safe
+// runtime calls Record once per mutation, before applying it and while
+// holding the mutated instance's lock; Record must block until the
+// record is durable at the sink's level (a nil error is the durability
+// ack, an error means the mutation is dropped) and must never call
+// back into the Runtime. Implementations must be safe
 // for concurrent use — records for different instances are emitted in
 // parallel.
 type Journal interface {
@@ -70,11 +73,11 @@ const (
 )
 
 // JournalRecord is one journaled instance mutation: the operation, the
-// events it appended (already stamped with Seq and Time), and the
-// op-specific payload replay needs to reproduce the state change
-// exactly. State/Current/CompletedAt mirror the post-mutation token
-// state for the ops that move it (advance, accept, switch), so replay
-// never re-derives a token position from event text.
+// events it appends (already stamped with Seq and Time), and the
+// op-specific payload its applier needs to make the state change
+// exactly, live and on replay. State/Current/CompletedAt carry the
+// post-mutation token state for the ops that move it (advance, accept,
+// switch), so no applier re-derives a token position from event text.
 type JournalRecord struct {
 	Op       RecordOp `json:"op"`
 	Instance string   `json:"instance"`
@@ -139,35 +142,68 @@ type JournalRecord struct {
 // journalLocked emits a record through the configured sink; callers
 // hold the mutated instance's lock, which is what makes the journal's
 // per-instance order equal the mutation order. A nil sink is a no-op.
-//
-// Failure semantics are fail-forward: the in-memory mutation has
-// already been applied and is NOT rolled back (rollback of a composite
-// mutation under concurrency would be worse than the disease); the
-// caller surfaces the wrapped error, skips observer delivery and
-// action dispatch, and the append-error counter feeds the admin
-// endpoint. The one exception is Instantiate, which journals before
-// publishing the instance and can therefore abort cleanly.
+// A sink failure is wrapped in ErrJournal: the record was prepared but
+// never applied, so the mutation did not happen and may be retried.
 func (r *Runtime) journalLocked(rec *JournalRecord) error {
 	if r.cfg.Journal == nil {
 		return nil
 	}
 	if err := r.cfg.Journal.Record(rec); err != nil {
 		r.journalErrors.Add(1)
-		return fmt.Errorf("runtime: journal %s of %s: %w", rec.Op, rec.Instance, err)
+		return fmt.Errorf("%w: %s of %s: %w", ErrJournal, rec.Op, rec.Instance, err)
 	}
 	r.journalAppends.Add(1)
 	return nil
 }
 
-// mirrorState copies the instance's post-mutation token state into the
-// record; callers hold in.mu.
-func (rec *JournalRecord) mirrorState(in *instance) {
-	rec.State = in.state
-	rec.Current = in.current
-	rec.CompletedAt = in.completedAt
+// stage stamps ev as the next event of in after those already staged
+// on rec — Seq continues the instance's gapless numbering, Time is at —
+// and appends it to the record. The instance is only read: the event
+// enters its history when the applier runs after a successful append.
+func (rec *JournalRecord) stage(in *instance, at time.Time, ev Event) {
+	ev.Seq = in.eventSeq + len(rec.Events) + 1
+	ev.Time = at
+	rec.Events = append(rec.Events, ev)
 }
 
-// ---- replay --------------------------------------------------------------------
+// mutateID is mutate on the instance with the given id.
+func (r *Runtime) mutateID(id string, prepare func(*instance) (*JournalRecord, error), project func(*instance, []Event)) error {
+	in, ok := r.lookup(id)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return r.mutate(in, prepare, project)
+}
+
+// mutate runs one verb on a published instance as journal-before-apply.
+// Under the instance lock, prepare builds the complete record without
+// writing any instance field (a nil record means there is nothing to
+// do); the record is appended; and only once the sink acknowledged it
+// is it applied through apply — the same applier replay uses — so a
+// failed append leaves the instance untouched and the live state is the
+// replay of the acknowledged records by construction. project, when
+// set, reads the applied state before the lock drops; observers get the
+// record's events after it.
+func (r *Runtime) mutate(in *instance, prepare func(*instance) (*JournalRecord, error), project func(*instance, []Event)) error {
+	in.mu.Lock()
+	rec, err := prepare(in)
+	if err == nil && rec != nil {
+		if err = r.journalLocked(rec); err == nil {
+			err = r.apply(in, rec)
+		}
+		if err == nil && project != nil {
+			project(in, rec.Events)
+		}
+	}
+	in.mu.Unlock()
+	if err != nil || rec == nil {
+		return err
+	}
+	r.observe(in.id, rec.Events)
+	return nil
+}
+
+// ---- appliers ------------------------------------------------------------------
 
 // ApplyJournal applies one persisted record during recovery — a
 // mutation record, or the RecSnapshot image folding wrote. Records of
@@ -193,9 +229,10 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	r.recoveredRecords.Add(1)
 	switch rec.Op {
 	case RecInstantiate:
-		return r.replayInstantiate(&rec)
+		_, err := r.applyInstantiate(&rec)
+		return err
 	case RecSnapshot:
-		return r.replaySnapshot(&rec)
+		return r.applySnapshot(&rec)
 	case RecProbe:
 		// Probes prove the append path while unhealthy; they carry no
 		// state and replay drops them.
@@ -207,28 +244,36 @@ func (r *Runtime) ApplyJournal(id string, data []byte) error {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	return r.apply(in, &rec)
+}
+
+// apply dispatches one mutation record of a published instance to its
+// applier. The appliers are the only code that writes instance state
+// after publication: live verbs reach them through mutate after a
+// successful append, recovery through ApplyJournal. Callers hold in.mu.
+func (r *Runtime) apply(in *instance, rec *JournalRecord) error {
 	switch rec.Op {
 	case RecAdvance:
-		return r.replayAdvance(in, &rec)
+		return r.applyAdvance(in, rec)
 	case RecAnnotate:
 		r.applyEvents(in, rec.Events)
 	case RecBind:
-		r.replayBind(in, &rec)
+		r.applyBind(in, rec)
 	case RecReport:
-		return r.replayReport(in, &rec)
+		return r.applyReport(in, rec)
 	case RecDispatchFail:
-		return r.replayDispatchFail(in, &rec)
+		return r.applyDispatchFail(in, rec)
 	case RecPropose:
-		r.replayPropose(in, &rec)
+		r.applyPropose(in, rec)
 	case RecAccept:
-		return r.replayAccept(in, &rec)
+		return r.applyAccept(in, rec)
 	case RecReject:
 		in.pending = nil
 		r.applyEvents(in, rec.Events)
 	case RecSwitch:
-		return r.replaySwitch(in, &rec)
+		return r.applySwitch(in, rec)
 	default:
-		return fmt.Errorf("runtime: replay unknown record op %q for %s", rec.Op, rec.Instance)
+		return fmt.Errorf("runtime: apply unknown record op %q for %s", rec.Op, rec.Instance)
 	}
 	return nil
 }
@@ -241,9 +286,13 @@ func (r *Runtime) applyEvents(in *instance, evs []Event) {
 	}
 }
 
-func (r *Runtime) replayInstantiate(rec *JournalRecord) error {
+// applyInstantiate builds the instance an instantiate record describes
+// and publishes it into the shard map, the population index and the
+// secondary indexes. The record's model, resource and bindings become
+// the instance's own: callers hand over a record nobody else mutates.
+func (r *Runtime) applyInstantiate(rec *JournalRecord) (*instance, error) {
 	if rec.Model == nil || rec.Resource == nil {
-		return fmt.Errorf("runtime: instantiate record for %s missing model or resource", rec.Instance)
+		return nil, fmt.Errorf("runtime: instantiate record for %s missing model or resource", rec.Instance)
 	}
 	modelURI := rec.ModelURI
 	if modelURI == "" {
@@ -256,7 +305,7 @@ func (r *Runtime) replayInstantiate(rec *JournalRecord) error {
 	in := &instance{
 		id:           rec.Instance,
 		seq:          rec.Seq,
-		model:        rec.Model, // decoded copy: the record owns it exclusively
+		model:        rec.Model,
 		mcache:       buildModelCache(rec.Model),
 		modelURI:     modelURI,
 		res:          *rec.Resource,
@@ -270,35 +319,37 @@ func (r *Runtime) replayInstantiate(rec *JournalRecord) error {
 	r.applyEvents(in, rec.Events)
 
 	if r.publish(in) {
-		return fmt.Errorf("%w: replayed instantiate for existing %s", ErrAlreadyExists, in.id)
+		return nil, fmt.Errorf("%w: instantiate for existing %s", ErrAlreadyExists, in.id)
 	}
 	r.byRes.add(in.res.URI, in)
 	r.byModel.add(in.modelURI, in)
 	bumpAtLeast(&r.nextInst, rec.Seq)
-	return nil
+	return in, nil
 }
 
-func (r *Runtime) replayAdvance(in *instance, rec *JournalRecord) error {
+func (r *Runtime) applyAdvance(in *instance, rec *JournalRecord) error {
+	for i := range rec.Executions {
+		if _, dup := in.executions[rec.Executions[i].InvocationID]; dup {
+			return fmt.Errorf("runtime: duplicate execution %s on %s", rec.Executions[i].InvocationID, in.id)
+		}
+	}
 	r.applyEvents(in, rec.Events)
 	in.state = rec.State
 	in.current = rec.Current
 	in.completedAt = rec.CompletedAt
 	for i := range rec.Executions {
-		ex := rec.Executions[i]
-		if _, dup := in.executions[ex.InvocationID]; dup {
-			return fmt.Errorf("runtime: replay duplicate execution %s on %s", ex.InvocationID, in.id)
-		}
-		r.registerExecution(in, &ex)
+		r.registerExecution(in, &rec.Executions[i])
 	}
 	return nil
 }
 
-// registerExecution installs one replayed execution on in — ordered
-// map entry, the failed/pending counters, the callback-routing index,
-// the invocation id counter, and retirement scheduling for terminal
-// ones (the GC grace window restarts at replay time; a no-op when
-// retention is disabled). Shared by record replay (replayAdvance) and
-// snapshot replay so the two can never drift. Callers hold in.mu (or
+// registerExecution installs one execution on in — ordered map entry,
+// the failed/pending counters, the callback-routing index (sweeping the
+// stripe's expired entries on the way when retention is enabled), the
+// invocation id counter, and retirement scheduling for terminal ones
+// (the GC grace window starts at apply time; a no-op when retention is
+// disabled). Shared by applyAdvance and applySnapshot so the two can
+// never drift. ex becomes the instance's own. Callers hold in.mu (or
 // own the instance exclusively).
 func (r *Runtime) registerExecution(in *instance, ex *ActionExecution) {
 	in.executions[ex.InvocationID] = ex
@@ -312,6 +363,9 @@ func (r *Runtime) registerExecution(in *instance, ex *ActionExecution) {
 	ish := r.invShardFor(ex.InvocationID)
 	ish.mu.Lock()
 	ish.m[ex.InvocationID] = in
+	if r.cfg.InvocationRetention > 0 {
+		r.sweepInvShardLocked(ish, r.clock.Now())
+	}
 	ish.mu.Unlock()
 	bumpAtLeast(&r.nextInv, invSeq(ex.InvocationID))
 	if ex.Terminal {
@@ -319,7 +373,7 @@ func (r *Runtime) registerExecution(in *instance, ex *ActionExecution) {
 	}
 }
 
-func (r *Runtime) replayBind(in *instance, rec *JournalRecord) {
+func (r *Runtime) applyBind(in *instance, rec *JournalRecord) {
 	if in.instBindings == nil {
 		in.instBindings = make(map[string]map[string]string)
 	}
@@ -335,10 +389,10 @@ func (r *Runtime) replayBind(in *instance, rec *JournalRecord) {
 	}
 }
 
-func (r *Runtime) replayReport(in *instance, rec *JournalRecord) error {
+func (r *Runtime) applyReport(in *instance, rec *JournalRecord) error {
 	exec, ok := in.executions[rec.Invocation]
 	if !ok {
-		return fmt.Errorf("runtime: replay report for unknown invocation %s on %s", rec.Invocation, in.id)
+		return fmt.Errorf("runtime: report for unknown invocation %s on %s", rec.Invocation, in.id)
 	}
 	exec.LastStatus = rec.Status
 	exec.LastDetail = rec.Detail
@@ -357,10 +411,10 @@ func (r *Runtime) replayReport(in *instance, rec *JournalRecord) error {
 	return nil
 }
 
-func (r *Runtime) replayDispatchFail(in *instance, rec *JournalRecord) error {
+func (r *Runtime) applyDispatchFail(in *instance, rec *JournalRecord) error {
 	exec, ok := in.executions[rec.Invocation]
 	if !ok {
-		return fmt.Errorf("runtime: replay dispatch failure for unknown invocation %s on %s", rec.Invocation, in.id)
+		return fmt.Errorf("runtime: dispatch failure for unknown invocation %s on %s", rec.Invocation, in.id)
 	}
 	if !exec.Terminal {
 		exec.DispatchErr = rec.Detail
@@ -375,7 +429,7 @@ func (r *Runtime) replayDispatchFail(in *instance, rec *JournalRecord) error {
 	return nil
 }
 
-func (r *Runtime) replayPropose(in *instance, rec *JournalRecord) {
+func (r *Runtime) applyPropose(in *instance, rec *JournalRecord) {
 	in.pending = &ChangeProposal{
 		ProposedBy: rec.Proposer,
 		ProposedAt: rec.ProposedAt,
@@ -386,9 +440,9 @@ func (r *Runtime) replayPropose(in *instance, rec *JournalRecord) {
 	r.applyEvents(in, rec.Events)
 }
 
-func (r *Runtime) replayAccept(in *instance, rec *JournalRecord) error {
+func (r *Runtime) applyAccept(in *instance, rec *JournalRecord) error {
 	if in.pending == nil {
-		return fmt.Errorf("%w: replayed accept on %s", ErrNoPending, in.id)
+		return fmt.Errorf("%w: accept on %s", ErrNoPending, in.id)
 	}
 	in.model = in.pending.NewModel
 	in.mcache = buildModelCache(in.model)
@@ -400,7 +454,11 @@ func (r *Runtime) replayAccept(in *instance, rec *JournalRecord) error {
 	return nil
 }
 
-func (r *Runtime) replaySwitch(in *instance, rec *JournalRecord) error {
+// applySwitch installs the record's model (discarding any undecided
+// proposal) and moves the provenance pointer, keeping the model index
+// in step — index stripes are taken under the instance lock, per the
+// package lock order.
+func (r *Runtime) applySwitch(in *instance, rec *JournalRecord) error {
 	if rec.Model == nil {
 		return fmt.Errorf("runtime: switch record for %s missing model", in.id)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +21,8 @@ import (
 type captureSink struct {
 	mu   sync.Mutex
 	recs []capturedRec
-	err  error // when set, Record fails
+	err  error       // when set, Record fails
+	fail func() bool // when set and true, Record fails (called under mu)
 }
 
 type capturedRec struct {
@@ -37,6 +39,9 @@ func (s *captureSink) Record(rec *JournalRecord) error {
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
+	}
+	if s.fail != nil && s.fail() {
+		return errors.New("injected: write error")
 	}
 	s.recs = append(s.recs, capturedRec{id: rec.Instance, data: data})
 	return nil
@@ -114,51 +119,68 @@ func mustJSON(t testing.TB, v any) string {
 	return string(data)
 }
 
-// assertSameState compares the full observable state of two runtimes:
-// snapshots (histories, executions, pending changes, bindings), model
-// fingerprints, summaries and index-backed queries.
+// assertSameState compares the full observable state of two runtimes
+// through viewOf: snapshots (histories, executions, pending changes,
+// bindings) with their models, summaries, phase stats, in-flight
+// counts, index-backed queries, page order and index sizes.
 func assertSameState(t testing.TB, want, got *Runtime) {
 	t.Helper()
-	ws, gs := want.Instances(), got.Instances()
-	if len(ws) != len(gs) {
-		t.Fatalf("population: %d vs %d", len(ws), len(gs))
-	}
-	for i := range ws {
-		if w, g := mustJSON(t, ws[i]), mustJSON(t, gs[i]); w != g {
-			t.Fatalf("snapshot %s diverged after replay:\nlive      %s\nrecovered %s", ws[i].ID, w, g)
+	assertView(t, "replay", viewOf(t, want), viewOf(t, got))
+}
+
+// viewOf renders every read view of a runtime as one comparable text:
+// full snapshots with their models, and per instance in creation order
+// the Summary, PhaseStats at a fixed instant, InFlight and the
+// ByResource/ByModelURI ids; then the instance order of a paged walk
+// and the index sizes of RuntimeStats. Persistence counters differ by
+// design and are left out.
+func viewOf(t testing.TB, rt *Runtime) string {
+	t.Helper()
+	var b strings.Builder
+	at := time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC)
+	ids := func(list []Snapshot) (out []string) {
+		for _, s := range list {
+			out = append(out, s.ID)
 		}
-		if ws[i].Model.Fingerprint() != gs[i].Model.Fingerprint() {
-			t.Fatalf("model of %s diverged after replay", ws[i].ID)
-		}
-		if w, g := mustJSON(t, ws[i].Model), mustJSON(t, gs[i].Model); w != g {
-			t.Fatalf("model JSON of %s diverged", ws[i].ID)
-		}
+		return out
 	}
-	if w, g := mustJSON(t, want.Summaries()), mustJSON(t, got.Summaries()); w != g {
-		t.Fatalf("summaries diverged:\nlive      %s\nrecovered %s", w, g)
+	for _, snap := range rt.Instances() {
+		sum, _ := rt.Summary(snap.ID)
+		ps, _ := rt.PhaseStats(snap.ID, at)
+		fmt.Fprintf(&b, "%s\nmodel %s\n%s\n%s\nin-flight %d\nby-resource %v\nby-model %v\n",
+			mustJSON(t, snap), mustJSON(t, snap.Model), mustJSON(t, sum), mustJSON(t, ps), rt.InFlight(snap.ID),
+			ids(rt.ByResource(snap.Resource.URI)), ids(rt.ByModelURI(snap.ModelURI)))
 	}
-	// Index parity: every resource and model URI answers identically.
-	seen := map[string]bool{}
-	for _, s := range ws {
-		if !seen["r"+s.Resource.URI] {
-			seen["r"+s.Resource.URI] = true
-			if w, g := mustJSON(t, want.ByResource(s.Resource.URI)), mustJSON(t, got.ByResource(s.Resource.URI)); w != g {
-				t.Fatalf("ByResource(%s) diverged", s.Resource.URI)
-			}
+	for after := int64(0); ; {
+		page := rt.SummariesPage(after, 2)
+		for _, s := range page.Summaries {
+			fmt.Fprintf(&b, "page %s\n", s.ID)
 		}
-		if !seen["m"+s.ModelURI] {
-			seen["m"+s.ModelURI] = true
-			if w, g := mustJSON(t, want.ByModelURI(s.ModelURI)), mustJSON(t, got.ByModelURI(s.ModelURI)); w != g {
-				t.Fatalf("ByModelURI(%s) diverged", s.ModelURI)
-			}
+		if page.NextAfter == 0 {
+			break
 		}
+		after = page.NextAfter
 	}
-	wst, gst := want.RuntimeStats(), got.RuntimeStats()
-	if wst.Instances != gst.Instances || wst.Invocations != gst.Invocations ||
-		wst.ResourceKeys != gst.ResourceKeys || wst.ModelKeys != gst.ModelKeys ||
-		wst.EventsInMemory != gst.EventsInMemory || wst.EventsTruncated != gst.EventsTruncated {
-		t.Fatalf("stats diverged:\nlive      %+v\nrecovered %+v", wst, gst)
+	st := rt.RuntimeStats()
+	fmt.Fprintf(&b, "stats instances=%d per-shard=%v invocations=%d resources=%d models=%d events=%d truncated=%d\n",
+		st.Instances, st.PerShard, st.Invocations, st.ResourceKeys, st.ModelKeys, st.EventsInMemory, st.EventsTruncated)
+	return b.String()
+}
+
+// assertView fails showing both views around their first difference.
+func assertView(t testing.TB, what, want, got string) {
+	t.Helper()
+	if want == got {
+		return
 	}
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	window := func(s string) string {
+		return s[max(0, i-160):min(len(s), i+160)]
+	}
+	t.Fatalf("%s diverged at byte %d:\nlive      …%s…\nrecovered …%s…", what, i, window(want), window(got))
 }
 
 // TestReplayRebuildsEveryMutationKind drives every mutating verb and
@@ -405,29 +427,102 @@ func TestReplayWithRingTruncation(t *testing.T) {
 	}
 }
 
-// TestJournalFailureSemantics: a failing sink aborts Instantiate
-// cleanly and fail-forwards everything else, counting the errors.
+// TestJournalFailureSemantics: a failed append means the mutation did
+// not happen. Instantiate aborts cleanly, a refused move leaves the
+// instance exactly as it was (position, events, summary), a refused
+// callback can be retried once the disk heals and the retry is
+// journaled, and a snapshot fold after a refused move does not carry
+// it. Every failure is counted.
 func TestJournalFailureSemantics(t *testing.T) {
-	e := newPersistEnv(t)
-	snap := e.instantiate(t)
-	e.sink.err = errors.New("disk gone")
-	if _, err := e.rt.Instantiate(fig1(t), wikiRef(), "owner", nil); err == nil {
-		t.Fatal("instantiate with dead journal succeeded")
+	sink := &captureSink{}
+	swallow := InvokerFunc(func(context.Context, actionlib.Invocation) error { return nil }) // dispatch succeeds, never reports
+	clock := vclock.NewFake(time.Date(2009, 2, 1, 9, 0, 0, 0, time.UTC))
+	cfg := Config{Registry: testActions(t), Invoker: swallow, Clock: clock, SyncActions: true}
+	mk := func(j Journal) *Runtime {
+		c := cfg
+		c.Journal = j
+		rt, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt
 	}
-	if got := e.rt.Count(); got != 1 {
+	rt := mk(sink)
+	snap, err := rt.Instantiate(fig1(t), wikiRef(), "owner",
+		map[string]map[string]string{"http://www.liquidpub.org/a/notify": {"reviewers": "alice"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sink.err = errors.New("disk gone")
+	if _, err := rt.Instantiate(fig1(t), wikiRef(), "owner", nil); !errors.Is(err, ErrJournal) {
+		t.Fatalf("instantiate with dead journal = %v, want ErrJournal", err)
+	}
+	if got := rt.Count(); got != 1 {
 		t.Fatalf("population after aborted instantiate = %d, want 1", got)
 	}
-	if _, err := e.rt.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{}); err == nil {
-		t.Fatal("advance with dead journal reported success")
+	before, _ := rt.Instance(snap.ID)
+	beforeSum, _ := rt.Summary(snap.ID)
+	if _, err := rt.Advance(snap.ID, "elaboration", "owner", AdvanceOptions{}); !errors.Is(err, ErrJournal) {
+		t.Fatalf("advance with dead journal = %v, want ErrJournal", err)
 	}
-	// Fail-forward: memory kept the move.
-	sum, _ := e.rt.Summary(snap.ID)
-	if sum.Current != "elaboration" {
-		t.Fatalf("fail-forward position = %q", sum.Current)
+	// The refused move did not happen: position, events and summary
+	// are unchanged.
+	after, _ := rt.Instance(snap.ID)
+	afterSum, _ := rt.Summary(snap.ID)
+	if after.Current != "" || mustJSON(t, after) != mustJSON(t, before) || mustJSON(t, afterSum) != mustJSON(t, beforeSum) {
+		t.Fatalf("refused advance changed the instance:\nbefore %s\nafter  %s", mustJSON(t, before), mustJSON(t, after))
 	}
-	st := e.rt.RuntimeStats().Persistence
-	if !st.Enabled || st.RecordErrors < 2 {
-		t.Fatalf("persistence stats = %+v", st)
+
+	// A fold after the refused move: the image replays to the
+	// acknowledged state, without the move.
+	img := mk(nil)
+	for _, r := range emitAll(t, rt) {
+		if err := img.ApplyJournal(r.id, r.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img.FinishRecovery()
+	if sum, _ := img.Summary(snap.ID); sum.Current != "" || sum.Events != beforeSum.Events {
+		t.Fatalf("snapshot image carries the refused move: current=%q events=%d", sum.Current, sum.Events)
+	}
+	assertSameState(t, rt, img)
+
+	// A callback refused by the journal leaves its execution pending;
+	// once the disk heals the retried callback is journaled and survives
+	// replay.
+	sink.err = nil
+	if _, err := rt.Advance(snap.ID, "internalreview", "owner", AdvanceOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	inv := func() string { s, _ := rt.Instance(snap.ID); return s.Executions[0].InvocationID }()
+	pending, _ := rt.Summary(snap.ID)
+	sink.err = errors.New("disk gone")
+	up := actionlib.StatusUpdate{InvocationID: inv, Message: actionlib.StatusCompleted}
+	if err := rt.Report(up); !errors.Is(err, ErrJournal) {
+		t.Fatalf("report with dead journal = %v, want ErrJournal", err)
+	}
+	if sum, _ := rt.Summary(snap.ID); mustJSON(t, sum) != mustJSON(t, pending) || rt.InFlight(snap.ID) != 2 {
+		t.Fatalf("refused report changed the instance: %s", mustJSON(t, sum))
+	}
+	sink.err = nil
+	n := len(sink.recs)
+	if err := rt.Report(up); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.recs) != n+1 {
+		t.Fatalf("retried report journaled %d records, want 1", len(sink.recs)-n)
+	}
+	if sum, _ := rt.Summary(snap.ID); sum.PendingInvocations != 1 || sum.Events != pending.Events+1 {
+		t.Fatalf("retried report: pending=%d events=%d", sum.PendingInvocations, sum.Events)
+	}
+	rt2 := mk(nil)
+	sink.replayInto(t, rt2)
+	assertSameState(t, rt, rt2)
+
+	st := rt.RuntimeStats().Persistence
+	if !st.Enabled || st.RecordErrors != 3 {
+		t.Fatalf("persistence stats = %+v, want 3 errors", st)
 	}
 }
 

@@ -6,8 +6,8 @@ package runtime
 // Each shard keeps, next to its id→instance map, an `ordered` slice of
 // the same instance pointers sorted by creation sequence. The slice is
 // maintained under the shard's existing membership lock at the three
-// places an instance is ever published — Instantiate, replayInstantiate
-// and replaySnapshot — and instances are never removed, so the slice
+// places an instance is ever published — Instantiate, applyInstantiate
+// and applySnapshot — and instances are never removed, so the slice
 // only grows. Because seq is allocated before publication, two
 // concurrent Instantiates may publish out of order; the insert binary-
 // searches from the tail, which makes the common in-order publish an
@@ -46,8 +46,8 @@ func (sh *shard) insertOrdered(in *instance) bool {
 
 // publish inserts an already-constructed instance into its shard map
 // and the population index in one critical section. It is the single
-// publication point shared by Instantiate, replayInstantiate and
-// replaySnapshot; dup reports an id collision (replay only), in which
+// publication point shared by Instantiate, applyInstantiate and
+// applySnapshot; dup reports an id collision (replay only), in which
 // case nothing was inserted.
 func (r *Runtime) publish(in *instance) (dup bool) {
 	sh := r.shardFor(in.id)

@@ -239,7 +239,7 @@ func TestPopulationIndexStress(t *testing.T) {
 
 // TestPopulationIndexReplayFromSnapshots rebuilds a runtime from
 // folded snapshot records only and checks the index order — the
-// replaySnapshot publication site.
+// applySnapshot publication site.
 func TestPopulationIndexReplayFromSnapshots(t *testing.T) {
 	rt := popRuntime(t, Config{})
 	model := popModel()

@@ -109,8 +109,11 @@
 // Instances live in RAM. Wiring Config.Journal makes them durable:
 // every mutating verb — Instantiate, Advance, Annotate, BindParams,
 // Report, a failed dispatch, ProposeChange, Accept/RejectChange,
-// SwitchModel — emits exactly one typed JournalRecord through the sink
-// before the mutation is acknowledged to the caller.
+// SwitchModel — is journal-before-apply. Under the instance lock it
+// prepares one complete typed JournalRecord (events stamped, post-move
+// token state, new executions) without writing the instance, appends it
+// through the sink, and only on success applies it through the same
+// per-op applier replay uses.
 //
 // What is journaled: the record carries the mutation's identity, the
 // events it appended (already stamped with their gapless Seq and
@@ -120,11 +123,13 @@
 // decisions, action dispatch and observer delivery are NOT journaled;
 // they are side effects of the first life only.
 //
-// Ordering: records are emitted while the mutated instance's lock is
-// held, so the journal's per-instance record order is exactly the
-// order a live reader could have observed — and because the sink only
-// acknowledges durable records, no reader ever observes state that a
-// crash could take back. Cross-instance order in the journal is
+// Ordering: records are appended and applied while the mutated
+// instance's lock is held, so the journal's per-instance record order
+// is exactly the order a live reader could have observed — and because
+// state changes only after the sink acknowledged a durable record, no
+// reader ever observes state that a crash could take back. Snapshot
+// folding captures its images under the same lock, so an image equals
+// the acknowledged records too. Cross-instance order in the journal is
 // arbitrary, as instances share no state.
 //
 // Replay: on restart, stream every record through ApplyJournal (single
@@ -134,15 +139,15 @@
 // pending proposals, the resource/model/invocation indexes, the
 // monotonic id counters, and every incremental counter — deviations,
 // failed steps, pending invocations, per-phase entered/residence
-// stats. Events flow through the same applier (applyRecorded) live and
-// on replay, which is what makes the rebuilt counters equal by
-// construction rather than by re-derivation.
+// stats. Live verbs and replay run the same appliers, which is what
+// makes the rebuilt state equal the live state by construction rather
+// than by re-derivation.
 //
-// Failure semantics are fail-forward: if the sink errors, the
-// in-memory mutation stands (Instantiate excepted — it journals before
-// publication and aborts cleanly), the caller gets the error, observer
-// delivery and dispatch are suppressed, and the append-error counter
-// surfaces on the admin endpoint. See journal.go.
+// Failure semantics: if the sink errors, the verb returns an error
+// wrapping ErrJournal and the mutation did not happen — memory is
+// untouched, no observer sees it, no action is dispatched, and the
+// caller may retry. The append-error counter surfaces on the admin
+// endpoint. See journal.go.
 package runtime
 
 import (
@@ -233,9 +238,10 @@ type Config struct {
 	// entries for the full audit lifetime (the pre-GC behavior).
 	InvocationRetention time.Duration
 	// Journal is the persistence sink for instance mutation records
-	// (nil = instances live only in RAM). Every mutation emits one
-	// typed record through it, under the mutated instance's lock; see
-	// the package doc's durability section.
+	// (nil = instances live only in RAM). Every mutation appends one
+	// typed record through it, under the mutated instance's lock and
+	// before the mutation is applied; see the package doc's durability
+	// section.
 	Journal Journal
 }
 
@@ -425,6 +431,10 @@ var (
 	ErrUnknownPhase  = errors.New("runtime: phase not in instance model")
 	ErrNoPending     = errors.New("runtime: no pending model change")
 	ErrAlreadyExists = errors.New("runtime: duplicate")
+	// ErrJournal wraps a Journal sink failure. The runtime appends
+	// before it applies, so the mutation did not happen: memory is
+	// untouched and the caller may retry.
+	ErrJournal = errors.New("runtime: journal append failed")
 )
 
 // shardFor hashes an instance id onto its stripe.
@@ -448,28 +458,21 @@ func (r *Runtime) lookup(id string) (*instance, bool) {
 	return in, ok
 }
 
-func (r *Runtime) observe(instID string, ev Event) {
+// observe delivers a mutation's events to the observer, in seq order;
+// callers hold no lock.
+func (r *Runtime) observe(instID string, evs []Event) {
 	if r.cfg.Observer != nil {
-		r.cfg.Observer(instID, ev)
+		for _, ev := range evs {
+			r.cfg.Observer(instID, ev)
+		}
 	}
-}
-
-// record stamps and appends an event to the instance; callers hold
-// in.mu. Seq numbering is derived from in.eventSeq, not the slice
-// length, so it stays gapless across ring truncation.
-func (r *Runtime) record(in *instance, ev Event) Event {
-	ev.Seq = in.eventSeq + 1
-	ev.Time = r.clock.Now()
-	r.applyRecorded(in, ev)
-	return ev
 }
 
 // applyRecorded appends an already-stamped event and maintains every
 // event-derived counter — event totals, deviations, the per-phase
 // entered/residence stats — plus the ring truncation. It is the one
-// place an event enters an instance, shared by the live record() path
-// and journal replay, which is what makes replayed counters equal the
-// live ones by construction. When Config.MaxEventsInMemory is set the
+// place an event enters an instance, reached only through the record
+// appliers, live and on replay alike. When Config.MaxEventsInMemory is set the
 // in-memory history is ring-truncated: once it exceeds the cap by 25%
 // the oldest events are cut back down to the cap, amortizing the copy.
 // Callers hold in.mu (or own the instance exclusively).
@@ -587,67 +590,53 @@ func (r *Runtime) Instantiate(model *core.Model, ref resource.Ref, owner string,
 	}
 
 	seq := r.nextInst.Add(1)
-	in := &instance{
-		id:           fmt.Sprintf("li-%06d", seq),
-		seq:          seq,
-		model:        model.Clone(),
-		mcache:       buildModelCache(model),
-		modelURI:     model.URI,
-		res:          ref.Clone(),
-		owner:        owner,
-		state:        StateActive,
-		createdAt:    r.clock.Now(),
-		instBindings: cloneBindings(instBindings),
-		executions:   make(map[string]*ActionExecution),
+	now := r.clock.Now()
+	res := ref.Clone()
+	rec := &JournalRecord{
+		Op:        RecInstantiate,
+		Instance:  fmt.Sprintf("li-%06d", seq),
+		Seq:       seq,
+		Model:     model.Clone(),
+		ModelURI:  model.URI,
+		Resource:  &res,
+		Owner:     owner,
+		CreatedAt: now,
+		Bindings:  cloneBindings(instBindings),
+		Events: []Event{{Seq: 1, Time: now, Kind: EventCreated, Actor: owner,
+			Detail: fmt.Sprintf("model %q on %s (%s)", model.Name, ref.URI, ref.Type)}},
 	}
 	// Resolve every referenced action type against the resource type.
 	seen := make(map[string]bool)
-	for _, p := range in.model.Phases {
+	for _, p := range model.Phases {
 		for _, call := range p.Actions {
 			if seen[call.URI] {
 				continue
 			}
 			seen[call.URI] = true
 			if _, err := r.cfg.Registry.Resolve(call.URI, ref.Type); err != nil {
-				in.unresolved = append(in.unresolved, call.URI)
+				rec.Unresolved = append(rec.Unresolved, call.URI)
 			}
 		}
 	}
-	sort.Strings(in.unresolved)
-	// Record and snapshot before publication: the instance is still
-	// private, so no lock is needed.
-	ev := r.record(in, Event{Kind: EventCreated, Actor: owner,
-		Detail: fmt.Sprintf("model %q on %s (%s)", in.model.Name, ref.URI, ref.Type)})
-	snap := in.snapshot()
+	sort.Strings(rec.Unresolved)
 
-	// Journal before publication: a failed append aborts cleanly — the
-	// instance was never visible, so nothing needs rolling back. The
-	// shared instPub lock keeps the append→publish window atomic with
-	// respect to snapshot folding (see snapshot.go).
+	// Journal before publication, like every other verb: a failed append
+	// leaves nothing behind. The shared instPub lock keeps the
+	// append→publish window atomic with respect to snapshot folding (see
+	// snapshot.go).
 	r.instPub.RLock()
 	defer r.instPub.RUnlock()
-	if err := r.journalLocked(&JournalRecord{
-		Op:         RecInstantiate,
-		Instance:   in.id,
-		Seq:        seq,
-		Model:      in.model,
-		ModelURI:   in.modelURI,
-		Resource:   &in.res,
-		Owner:      owner,
-		CreatedAt:  in.createdAt,
-		Unresolved: in.unresolved,
-		Bindings:   in.instBindings,
-		Events:     []Event{ev},
-	}); err != nil {
-		r.totalEvents.Add(-1)
+	if err := r.journalLocked(rec); err != nil {
 		return Snapshot{}, err
 	}
-
-	r.publish(in)
-	r.byRes.add(in.res.URI, in)
-	r.byModel.add(in.modelURI, in)
-
-	r.observe(in.id, ev)
+	in, err := r.applyInstantiate(rec)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	in.mu.Lock()
+	snap := in.snapshot()
+	in.mu.Unlock()
+	r.observe(in.id, rec.Events)
 	return snap, nil
 }
 
@@ -839,72 +828,39 @@ func (r *Runtime) ByModelURI(uri string) []Snapshot {
 
 // Annotate attaches a free-form note to the instance history.
 func (r *Runtime) Annotate(instID, actor, note string) error {
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
-	}
-	if !r.policy.CanDrive(actor, instID) {
-		return fmt.Errorf("%w: %s may not annotate %s", ErrForbidden, actor, instID)
-	}
-	in.mu.Lock()
-	ev := r.record(in, Event{Kind: EventAnnotated, Actor: actor, Detail: note, Phase: in.current})
-	if err := r.journalLocked(&JournalRecord{Op: RecAnnotate, Instance: instID, Events: []Event{ev}}); err != nil {
-		in.mu.Unlock()
-		return err
-	}
-	in.mu.Unlock()
-	r.observe(instID, ev)
-	return nil
+	return r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		if !r.policy.CanDrive(actor, instID) {
+			return nil, fmt.Errorf("%w: %s may not annotate %s", ErrForbidden, actor, instID)
+		}
+		rec := &JournalRecord{Op: RecAnnotate, Instance: instID}
+		rec.stage(in, r.clock.Now(), Event{Kind: EventAnnotated, Actor: actor, Detail: note, Phase: in.current})
+		return rec, nil
+	}, nil)
 }
 
 // BindParams supplies instantiation-stage parameter values for an
 // action after the instance was created ("actions can be configured if
 // necessary", §IV.B). Binding times are enforced.
 func (r *Runtime) BindParams(instID, actor, actionURI string, values map[string]string) error {
-	in, ok := r.lookup(instID)
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, instID)
-	}
-	if !r.policy.CanDrive(actor, instID) {
-		return fmt.Errorf("%w: %s may not configure %s", ErrForbidden, actor, instID)
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	// Find the call declaration (any phase) to check binding times.
-	var call *core.ActionCall
-	for _, p := range in.model.Phases {
-		for i := range p.Actions {
-			if p.Actions[i].URI == actionURI {
-				call = &p.Actions[i]
-				break
+	return r.mutateID(instID, func(in *instance) (*JournalRecord, error) {
+		if !r.policy.CanDrive(actor, instID) {
+			return nil, fmt.Errorf("%w: %s may not configure %s", ErrForbidden, actor, instID)
+		}
+		// Find the call declaration (any phase) to check binding times.
+		for _, p := range in.model.Phases {
+			for _, call := range p.Actions {
+				if call.URI != actionURI {
+					continue
+				}
+				if err := actionlib.CheckStageBindings(r.specFor(actionURI), call, values, actionlib.StageInstantiation); err != nil {
+					return nil, err
+				}
+				return &JournalRecord{Op: RecBind, Instance: instID,
+					Bindings: map[string]map[string]string{actionURI: values}}, nil
 			}
 		}
-		if call != nil {
-			break
-		}
-	}
-	if call == nil {
-		return fmt.Errorf("runtime: model of %s references no action %s", instID, actionURI)
-	}
-	spec := r.specFor(actionURI)
-	if err := actionlib.CheckStageBindings(spec, *call, values, actionlib.StageInstantiation); err != nil {
-		return err
-	}
-	if in.instBindings == nil {
-		in.instBindings = make(map[string]map[string]string)
-	}
-	vals := in.instBindings[actionURI]
-	if vals == nil {
-		vals = make(map[string]string)
-		in.instBindings[actionURI] = vals
-	}
-	for k, v := range values {
-		vals[k] = v
-	}
-	return r.journalLocked(&JournalRecord{
-		Op: RecBind, Instance: instID,
-		Bindings: map[string]map[string]string{actionURI: values},
-	})
+		return nil, fmt.Errorf("runtime: model of %s references no action %s", instID, actionURI)
+	}, nil)
 }
 
 // InFlight reports the number of non-terminal action executions of the
@@ -966,8 +922,8 @@ type Stats struct {
 type PersistenceStats struct {
 	Enabled bool `json:"enabled"`
 	// Records/RecordErrors count mutation records the Journal sink
-	// accepted / failed since start (failures are fail-forward: memory
-	// kept the mutation, durability was lost — see journal.go).
+	// accepted / failed since start (a failed record was never applied:
+	// its mutation did not happen — see journal.go).
 	Records      int64 `json:"journal_records"`
 	RecordErrors int64 `json:"journal_errors"`
 	// Recovered is what the startup replay rebuilt.

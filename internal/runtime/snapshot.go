@@ -6,7 +6,7 @@ package runtime
 // instance journal's sealed segments can be folded away and restart
 // replay stays O(live instances + unfolded tail) instead of O(every
 // record ever written). EmitSnapshots produces the images for the
-// store's folder (store.Instances.SetSnapshotSource); replaySnapshot
+// store's folder (store.Instances.SetSnapshotSource); applySnapshot
 // applies one during recovery, after which the instance's unfolded
 // tail records replay on top through the normal appliers.
 
@@ -94,13 +94,13 @@ func snapshotRecord(in *instance) *JournalRecord {
 	return rec
 }
 
-// replaySnapshot reconstructs an instance from its folded image: state
+// applySnapshot reconstructs an instance from its folded image: state
 // fields and the retained event ring verbatim, counters restored
 // rather than re-derived (the ring may no longer contain the events
 // that built them), executions re-registered in the callback index,
 // id counters bumped. The unfolded tail records for this instance
 // replay on top afterwards through the normal appliers.
-func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
+func (r *Runtime) applySnapshot(rec *JournalRecord) error {
 	if rec.Model == nil || rec.Resource == nil {
 		return fmt.Errorf("runtime: snapshot record for %s missing model or resource", rec.Instance)
 	}
@@ -157,8 +157,7 @@ func (r *Runtime) replaySnapshot(rec *JournalRecord) error {
 	r.truncatedEvents.Add(int64(in.truncatedEvs))
 
 	for i := range rec.Executions {
-		ex := rec.Executions[i]
-		r.registerExecution(in, &ex)
+		r.registerExecution(in, &rec.Executions[i])
 	}
 
 	if r.publish(in) {

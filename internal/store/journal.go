@@ -166,13 +166,11 @@
 //
 // Appender failure is sticky: a failed write, flush or fsync
 // acknowledges none of the records it covered and fails every later
-// append. Repositories and logs apply a mutation only in its onCommit
-// hook, after the record is durable, so a failed append leaves them
-// exactly as replay will rebuild them. The instance collection carries
-// no hooks — the runtime applies an instance mutation itself, around
-// the append — so there the in-memory mutation a failed record framed
-// stays in place (fail-forward) and the caller gets the error. What
-// the store adds is observation: every commit outcome, success or
+// append. Every mutation is applied only after its record is durable —
+// repositories and logs in their onCommit hook, lifecycle instances by
+// the runtime once the append returned (journal-before-apply) — so a
+// failed append leaves memory exactly as replay will rebuild it and
+// the caller gets the error. What the store adds is observation: every commit outcome, success or
 // failure, is reported through Options.OnAppendResult; the facade
 // observes instance-journal outcomes at the top of its sink chain.
 // The embedding system feeds these outcomes into a health state

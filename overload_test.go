@@ -100,8 +100,8 @@ func TestJournalFaultReadOnlyAndProbeRecovery(t *testing.T) {
 		t.Fatalf("health after clean writes = %v", got)
 	}
 
-	// Disk dies. Fail-forward: mutations on the victim stand in memory
-	// but surface append errors, and the machine ratchets to read-only.
+	// Disk dies. Mutations on the victim surface append errors and do
+	// not happen, and the machine ratchets to read-only.
 	fault.failing.Store(true)
 	if _, err := sys.Advance(victim, "elaboration", "owner", AdvanceOptions{}); err == nil {
 		t.Fatal("advance on a broken journal reported clean ack")
@@ -140,14 +140,21 @@ func TestJournalFaultReadOnlyAndProbeRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Runtime.WaitDispatch()
+	victimLive, _ := sys.InstanceSummary(victim)
 
 	// Kill (no Close) and restart without the fault seam: everything
-	// cleanly acked must be there, and probe records must replay as
-	// no-ops.
+	// cleanly acked must be there, probe records must replay as no-ops,
+	// and the victim recovers exactly as it stood live — its refused
+	// moves never happened on either side of the restart.
 	sys2 := newSystem(t, restartOpts(dir, clock))
 	sum, ok := sys2.InstanceSummary(main)
 	if !ok || sum.Current != "internalreview" {
 		t.Fatalf("main instance after restart = %+v (ok=%v), want internalreview", sum, ok)
+	}
+	got, ok := sys2.InstanceSummary(victim)
+	if !ok || got.Current != victimLive.Current || got.State != victimLive.State || got.Events != victimLive.Events {
+		t.Fatalf("victim after restart = %q/%s with %d events (ok=%v), live before the kill = %q/%s with %d events",
+			got.Current, got.State, got.Events, ok, victimLive.Current, victimLive.State, victimLive.Events)
 	}
 }
 
